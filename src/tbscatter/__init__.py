@@ -35,6 +35,7 @@ from .model import (
     assemble_delta,
     assemble_full_center_matrix,
     build_center,
+    effective_hamiltonian,
     parse_network_spec,
     serialize_network_spec,
 )

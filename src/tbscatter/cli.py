@@ -197,8 +197,11 @@ def _cmd_wavepacket(args) -> int:
     # expose physically growing eigenmodes of the finite non-Hermitian
     # system, which contaminate the asymptotic masses.
     t_final = args.t_final if args.t_final is not None else (abs(x0) + 4.5 * args.sigma) / v
-    h = build_finite_system(center, lead, n)
-    dt = args.dt if args.dt is not None else 0.04 / linalg.norm_inf(h)
+    # The dense finite system is only needed for its norm here; it is not
+    # kept, so that run_experiment's own copy is the only one alive.
+    dt = args.dt
+    if dt is None:
+        dt = 0.04 / linalg.norm_inf(build_finite_system(center, lead, n))
     config = WavepacketConfig(
         chain_half_length=n, x0=x0, sigma=args.sigma, k0=args.k0,
         t_final=t_final, dt=dt,

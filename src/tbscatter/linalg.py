@@ -155,17 +155,19 @@ def minor_det(a, i: int, j: int) -> complex:
     return det(np.delete(np.delete(m, i0, axis=0), j0, axis=1))
 
 
-def inverse_element_cofactor(a, i: int, j: int) -> complex:
+def inverse_element_cofactor(a, i: int, j: int, det_a: complex | None = None) -> complex:
     """Element (i, j) of the inverse via the cofactor route.
 
     Computes ``(-1)**(i+j) * minor_det(a, j, i) / det(a)``. This is the
     deliberate second route to the inverse: O(n^5) for a full matrix, used on
-    small matrices for verification only.
+    small matrices for verification only. ``det_a``, when given, is
+    ``det(a)`` as already computed by ``det``, so that a caller taking many
+    elements of one matrix factors it once.
     """
     m = as_square_matrix(a)
     n = m.shape[0]
     _check_indices(n, i, j)
-    d = det(m)
+    d = det(m) if det_a is None else complex(det_a)
     if d == 0:
         raise SingularMatrix("cofactor route needs a nonzero determinant")
     if n == 1:

@@ -35,6 +35,7 @@ __all__ = [
     "build_center",
     "assemble_full_center_matrix",
     "assemble_delta",
+    "effective_hamiltonian",
     "parse_network_spec",
     "serialize_network_spec",
 ]
@@ -192,6 +193,25 @@ def assemble_delta(center: ScatteringCenter, energy: float) -> DeltaMatrix:
     m = assemble_full_center_matrix(center)
     m -= e * np.eye(m.shape[0])
     return DeltaMatrix(energy=e, matrix=m)
+
+
+def effective_hamiltonian(center: ScatteringCenter, energy: float) -> np.ndarray:
+    """Schur complement of the B block in H_C - E, acting on cluster A:
+
+        S_A(E) = H_A - E + H_AB (H_B - E)^-1 H_AB^dag
+
+    inv(H_C - E) restricted to A is inv(S_A(E)). S_A is Hermitian for real E
+    because H_A and H_B are, which is why the joint coefficients are real.
+    (H_B - E)^-1 comes from one eigendecomposition of H_B, so S_A diverges
+    only at eigenvalues of H_B.
+    """
+    e = float(energy)
+    s = center.h_a - e * np.eye(center.n_a)
+    if center.n_b:
+        eigvals, eigvecs = np.linalg.eigh(center.h_b)
+        w = center.h_ab @ eigvecs
+        s = s + (w / (eigvals - e)) @ w.conj().T
+    return s
 
 
 _NETWORK_FIELDS = (

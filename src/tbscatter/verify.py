@@ -7,8 +7,10 @@ Three suites back the CLI ``verify`` command and the acceptance tests:
   solver paths, substitute-back residuals, and a negative control proving the
   detector reads nonzero on deliberately broken centers.
 * ``appendix``: reality of det(D), conjugate symmetry of the inverse elements
-  on the joint-bearing block through two independent routes, and reality of
-  the scaled joint coefficients.
+  on the joint-bearing block through two independent routes, Hermiticity of
+  the Schur complement S_A(E) behind that symmetry, and reality of the scaled
+  joint coefficients. Energies where D is too ill-conditioned for an
+  absolute symmetry bound are named near-singular and reported.
 * ``ptfold``: fold similarity, structural validity, parity-time defect, and
   end-to-end conservation for folded graphs (plain and generalized).
 
@@ -19,7 +21,7 @@ replayable from the reported trial.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .model import (
     assemble_delta,
     assemble_full_center_matrix,
     build_center,
+    effective_hamiltonian,
 )
 from .ptgraph import (
     GeneralPTGraphSpec,
@@ -56,11 +59,20 @@ RESIDUAL_TOL = 1e-10
 DET_REALITY_RTOL = 1e-10
 INVERSE_SYMMETRY_TOL = 1e-9
 ROUTE_AGREEMENT_TOL = 1e-9
+SCHUR_HERMITICITY_RTOL = 1e-13
 JOINT_COEFF_RTOL = 1e-10
 SIMILARITY_TOL = 1e-12
 PT_DEFECT_TOL = 1e-12
 NEGATIVE_CONTROL_FLOOR = 1e-2
 MUTANT_DEFICIT_FLOOR = 1e-6
+
+# A backward-stable inverse of D carries errors up to about
+# cond_inf(D) * max|inv(D)| * UNIT_ROUNDOFF. Where that estimate exceeds
+# NEAR_SINGULAR_FRACTION of INVERSE_SYMMETRY_TOL, the absolute symmetry bound
+# would measure rounding rather than the identity, so the energy is named
+# near-singular and held to the route-agreement and S_A checks only.
+UNIT_ROUNDOFF = 2.0**-53
+NEAR_SINGULAR_FRACTION = 0.1
 
 K_MARGIN = 0.05
 MAX_REDRAWS = 64
@@ -299,13 +311,18 @@ def _negative_control_checks(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
-    """Determinant reality, inverse-element symmetry via two routes, Eq-of-joints reality."""
+    """Determinant reality, inverse-element symmetry via two routes, S_A
+    Hermiticity, Eq-of-joints reality."""
     start = time.perf_counter()
     center_rng, aux_rng = _ensemble_rngs(seed)
     det_imag = _Worst()
     lu_symmetry = _Worst()
     cof_symmetry = _Worst()
     route_gap = _Worst()
+    schur_defect = _Worst()
+    cond = _Worst()
+    near_singular = 0
+    energies = 0
     coeff_reality = _Worst()
     for trial in range(trials):
         center, lead = random_valid_center(center_rng)
@@ -313,25 +330,36 @@ def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
         for _ in range(MAX_REDRAWS):
             k = _random_momentum(aux_rng)
             d = assemble_delta(center, -2.0 * lead.kappa * np.cos(k))
-            if abs(linalg.det(d.matrix)) > 0:
+            det_val = linalg.det(d.matrix)
+            if abs(det_val) > 0:
                 delta = d
                 break
         if delta is None:
             continue
         where = f"trial {trial}, E={delta.energy:.6f}"
-        det_val = linalg.det(delta.matrix)
         det_imag.update(abs(det_val.imag) / abs(det_val), where)
         inv = linalg.inverse(delta.matrix)
         n_a = center.n_a
-        for i in range(1, n_a + 1):
-            for j in range(1, n_a + 1):
-                lu_ij = inv[i - 1, j - 1]
-                lu_symmetry.update(abs(lu_ij - inv[j - 1, i - 1].conjugate()), where)
-                cof_ij = linalg.inverse_element_cofactor(delta.matrix, i, j)
-                cof_ji = linalg.inverse_element_cofactor(delta.matrix, j, i)
-                cof_symmetry.update(abs(cof_ij - cof_ji.conjugate()), where)
-                gap = abs(cof_ij - lu_ij) / max(abs(cof_ij), abs(lu_ij), 1.0)
-                route_gap.update(gap, where)
+        lu = inv[:n_a, :n_a]
+        cof = np.array([
+            [linalg.inverse_element_cofactor(delta.matrix, i, j, det_a=det_val)
+             for j in range(1, n_a + 1)]
+            for i in range(1, n_a + 1)
+        ])
+        energies += 1
+        cond_d = linalg.norm_inf(delta.matrix) * linalg.norm_inf(inv)
+        cond.update(cond_d, where)
+        rounding = cond_d * float(np.abs(inv).max()) * UNIT_ROUNDOFF
+        if rounding > NEAR_SINGULAR_FRACTION * INVERSE_SYMMETRY_TOL:
+            near_singular += 1
+        else:
+            lu_symmetry.update(float(np.abs(lu - lu.conj().T).max()), where)
+            cof_symmetry.update(float(np.abs(cof - cof.conj().T).max()), where)
+        gap = np.abs(cof - lu) / np.maximum(np.maximum(np.abs(cof), np.abs(lu)), 1.0)
+        route_gap.update(float(gap.max()), where)
+        s_a = effective_hamiltonian(center, delta.energy)
+        scale = float(np.abs(s_a).max())
+        schur_defect.update(linalg.hermiticity_defect(s_a) / scale if scale else 0.0, where)
         try:
             abc = coefficients_abc(center, lead, _random_momentum(aux_rng))
         except (SingularDelta, PoleAtK):
@@ -351,6 +379,16 @@ def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
     )
     report.checks.append(
         route_gap.check("max cofactor-vs-LU gap (relative, floor 1)", ROUTE_AGREEMENT_TOL)
+    )
+    schur = schur_defect.check(
+        "max |S_A - S_A^dag| / max |S_A| (Schur complement)", SCHUR_HERMITICITY_RTOL
+    )
+    report.checks.append(
+        replace(
+            schur,
+            detail=f"{schur.detail}; near-singular energies: {near_singular} of {energies}, "
+            f"worst cond_inf(D) {cond.value:.2e} at {cond.where}",
+        )
     )
     report.checks.append(
         coeff_reality.check("max joint-coefficient reality defect (relative)", JOINT_COEFF_RTOL)

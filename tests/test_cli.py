@@ -79,6 +79,19 @@ class TestVerifyCommand:
         assert code == 0
         assert "[FAIL]" not in out
 
+    def test_near_singular_energy_is_reported_not_failed(self, capsys):
+        # Trial 7 of this seed has cond_inf(D) = 2.6e6: its inverse carries
+        # rounding of about 8.8e-8, above the absolute 1e-9 symmetry bound.
+        code = run(["verify", "--trials", "20", "--seed", "724262123", "--suite", "appendix"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[FAIL]" not in out
+        schur = next(line for line in out.splitlines() if "(Schur complement)" in line)
+        assert "near-singular energies: 1 of 20" in schur
+        assert re.search(r"worst cond_inf\(D\) 2\.6\de\+06 at trial 7, E=-0\.296929", schur)
+        lu_route = next(line for line in out.splitlines() if "(LU route)" in line)
+        assert "trial 7," not in lu_route
+
     def test_failing_suite_exits_two(self, capsys, monkeypatch):
         failing = SuiteReport(
             suite="conservation", trials=1, seed=1,

@@ -152,6 +152,15 @@ class TestInverseElementCofactor:
     def test_one_by_one(self):
         assert linalg.inverse_element_cofactor(np.array([[4.0j]]), 1, 1) == -0.25j
 
+    def test_given_determinant_gives_identical_elements(self):
+        rng = np.random.default_rng(5)
+        a = random_delta_like(rng, 3, 2, energy=0.4)
+        d = linalg.det(a)
+        for i, j in ((1, 1), (1, 3), (3, 1), (5, 2)):
+            assert linalg.inverse_element_cofactor(a, i, j, det_a=d) == (
+                linalg.inverse_element_cofactor(a, i, j)
+            )
+
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             linalg.inverse_element_cofactor(np.array([[1.0, 1.0], [1.0, 1.0]]), 1, 1)

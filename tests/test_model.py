@@ -13,6 +13,7 @@ from tbscatter import (
     assemble_delta,
     assemble_full_center_matrix,
     build_center,
+    effective_hamiltonian,
     folded_four_site,
     parse_network_spec,
     serialize_network_spec,
@@ -103,6 +104,24 @@ class TestAssemble:
         c, _ = random_valid_center(rng)
         d = linalg.det(assemble_delta(c, -2.0 * math.cos(1.0)).matrix)
         assert abs(d.imag) <= 1e-10 * abs(d)
+
+
+class TestEffectiveHamiltonian:
+    def test_inverse_is_the_a_block_of_inv_delta(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            c, _ = random_valid_center(rng, na_max=5, nb_max=5)
+            e = float(rng.uniform(-2.0, 2.0))
+            s = effective_hamiltonian(c, e)
+            inv_d = linalg.inverse(assemble_delta(c, e).matrix)
+            np.testing.assert_allclose(
+                linalg.inverse(s), inv_d[: c.n_a, : c.n_a], rtol=0, atol=1e-9 * np.abs(inv_d).max()
+            )
+            assert linalg.hermiticity_defect(s) <= 1e-13 * np.abs(s).max()
+
+    def test_without_cluster_b_is_shifted_h_a(self):
+        c = build_center([[0.5, 1.0j], [-1.0j, 0.0]])
+        np.testing.assert_array_equal(effective_hamiltonian(c, 2.0), c.h_a - 2.0 * np.eye(2))
 
 
 class TestLeadAttachment:

@@ -122,10 +122,41 @@ class TestEvolve:
         with pytest.raises(StepTooLarge):
             evolve(np.array([[2.0]]), np.array([1.0 + 0j]), 1.0, 0.1)
 
-    def test_probe_visits_every_step(self):
+    @pytest.mark.parametrize(
+        "t_final,expected",
+        [(1.0, [0.0, 0.25, 0.5, 0.75, 1.0]), (1.125, [0.0, 0.25, 0.5, 0.75, 1.0, 1.125])],
+    )
+    def test_probe_visits_every_step(self, t_final, expected):
         times = []
-        evolve(np.zeros((1, 1)), np.ones(1, dtype=complex), 1.0, 0.25, probe=lambda t, psi: times.append(t))
-        assert times == [0.0, 0.25, 0.5, 0.75, 1.0]
+        evolve(np.zeros((1, 1)), np.ones(1, dtype=complex), t_final, 0.25,
+               probe=lambda t, psi: times.append(t))
+        assert times == expected
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_matches_four_stage_rk4(self, hermitian):
+        rng = np.random.default_rng(21)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = 0.5 * (g + g.conj().T) if hermitian else g
+        psi0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        dt = 0.04 / linalg.norm_inf(h)
+        t_final = 49.5 * dt  # 49 full steps and a half step
+
+        a = -1j * h
+        psi = psi0.copy()
+        remaining, steps = t_final, 0
+        while remaining > 1e-15:
+            step = min(dt, remaining)
+            k1 = a @ psi
+            k2 = a @ (psi + 0.5 * step * k1)
+            k3 = a @ (psi + 0.5 * step * k2)
+            k4 = a @ (psi + step * k3)
+            psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            remaining -= step
+            steps += 1
+        assert steps == 50 and step < dt
+
+        got = evolve(h, psi0, t_final, dt)
+        assert np.linalg.norm(got - psi) <= 1e-13 * np.linalg.norm(psi)
 
 
 class TestMeasurePartition:
@@ -134,6 +165,15 @@ class TestMeasurePartition:
         psi = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         p_l, p_c, p_r = measure_partition(psi, (8, 12))
         assert p_l + p_c + p_r == pytest.approx(float(np.abs(psi) ** 2 @ np.ones(20)), abs=1e-14)
+
+    def test_regions_match_squared_magnitudes(self):
+        rng = np.random.default_rng(3)
+        psi = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) / 6.0
+        prob = np.abs(psi) ** 2
+        for bounds in ((10, 30), (0, 40), (0, 0), (40, 40), (17, 17)):
+            i0, i1 = bounds
+            expected = (prob[:i0].sum(), prob[i0:i1].sum(), prob[i1:].sum())
+            np.testing.assert_allclose(measure_partition(psi, bounds), expected, rtol=0, atol=1e-14)
 
     def test_initial_packet_is_left(self):
         psi = gaussian_packet(300, 4, -150.0, 15.0, 1.0)
