@@ -29,7 +29,6 @@ from .errors import (
     ZetaPole,
 )
 from .model import (
-    DeltaMatrix,
     LeadAttachment,
     ScatteringCenter,
     assemble_delta,
@@ -45,7 +44,6 @@ from .scattering import (
     SpectrumPoint,
     SpectrumResult,
     coefficients_abc,
-    current_deficit,
     dispersion,
     reconstruct_wavefunction,
     schrodinger_residual,

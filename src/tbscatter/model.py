@@ -31,7 +31,6 @@ __all__ = [
     "HERMITICITY_ATOL",
     "ScatteringCenter",
     "LeadAttachment",
-    "DeltaMatrix",
     "build_center",
     "assemble_full_center_matrix",
     "assemble_delta",
@@ -150,14 +149,6 @@ class LeadAttachment:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaMatrix:
-    """The center matrix shifted by the scattering energy."""
-
-    energy: float
-    matrix: np.ndarray
-
-
 def build_center(h_a, h_b=None, h_ab=None) -> ScatteringCenter:
     """Validated constructor; ``h_b``/``h_ab`` may be omitted or empty."""
     h_a = linalg.as_square_matrix(h_a)
@@ -187,12 +178,23 @@ def assemble_full_center_matrix(center: ScatteringCenter) -> np.ndarray:
     return m
 
 
-def assemble_delta(center: ScatteringCenter, energy: float) -> DeltaMatrix:
+def _center_matrix(center) -> tuple[np.ndarray, int]:
+    """Full matrix and the size of the joint-bearing block.
+
+    For a ScatteringCenter the joints must lie in cluster A; for a raw square
+    matrix every site is available.
+    """
+    if isinstance(center, ScatteringCenter):
+        return assemble_full_center_matrix(center), center.n_a
+    m = linalg.as_square_matrix(center)
+    return m, m.shape[0]
+
+
+def assemble_delta(center: ScatteringCenter, energy: float) -> np.ndarray:
     """Full center matrix minus ``energy`` on the diagonal."""
-    e = float(energy)
     m = assemble_full_center_matrix(center)
-    m -= e * np.eye(m.shape[0])
-    return DeltaMatrix(energy=e, matrix=m)
+    m -= float(energy) * np.eye(m.shape[0])
+    return m
 
 
 def effective_hamiltonian(center: ScatteringCenter, energy: float) -> np.ndarray:
@@ -244,24 +246,24 @@ def _int_field(value, field: str) -> int:
     return value
 
 
-def _complex_matrix_field(value, field: str, shape=None) -> np.ndarray:
-    """Rows of [re, im] entries; [] or rows of [] mean a zero-width matrix."""
+def _matrix_field(value, field: str, entry=_complex_pair, shape=None) -> np.ndarray:
+    """Rows of entries read by ``entry`` (``_complex_pair`` or ``_number``), as complex128.
+
+    [] or rows of [] stand for a matrix with no entries; that is accepted only
+    where the expected ``shape`` has a zero dimension, and then padded to it.
+    """
     if not isinstance(value, list):
         raise ParseError(f"field {field}: expected an array of rows")
     rows = []
     for r, row in enumerate(value, start=1):
         if not isinstance(row, list):
             raise ParseError(f"field {field}, row {r}: expected an array")
-        rows.append([_complex_pair(z, f"{field}[{r}][{c}]") for c, z in enumerate(row, start=1)])
+        rows.append([entry(z, f"{field}[{r}][{c}]") for c, z in enumerate(row, start=1)])
     widths = {len(row) for row in rows}
     if len(widths) > 1:
         raise ParseError(f"field {field}: rows have unequal lengths")
-    n_rows = len(rows)
-    n_cols = widths.pop() if widths else 0
-    m = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    for r, row in enumerate(rows):
-        m[r, :] = row
-    if shape is not None and m.size == 0:
+    m = np.array(rows, dtype=np.complex128).reshape(len(rows), widths.pop() if widths else 0)
+    if shape is not None and m.size == 0 and 0 in shape:
         m = np.zeros(shape, dtype=np.complex128)
     if shape is not None and m.shape != shape:
         raise ParseError(f"field {field}: expected shape {shape}, got {m.shape}")
@@ -293,15 +295,15 @@ def parse_network_spec(text: str) -> tuple[ScatteringCenter, LeadAttachment]:
     (NotHermitian, DimensionMismatch) propagate as such.
     """
     doc = _load_document(text, _NETWORK_FIELDS)
-    h_a = _complex_matrix_field(doc["H_A"], "H_A")
+    h_a = _matrix_field(doc["H_A"], "H_A")
     if h_a.shape[0] == 0 or h_a.shape[0] != h_a.shape[1]:
         raise ParseError(f"field H_A: expected a nonempty square matrix, got {h_a.shape}")
     n_a = h_a.shape[0]
-    h_b = _complex_matrix_field(doc["H_B"], "H_B")
+    h_b = _matrix_field(doc["H_B"], "H_B")
     if h_b.shape[0] != h_b.shape[1]:
         raise ParseError(f"field H_B: expected a square matrix, got {h_b.shape}")
     n_b = h_b.shape[0]
-    h_ab = _complex_matrix_field(doc["H_AB"], "H_AB", shape=(n_a, n_b))
+    h_ab = _matrix_field(doc["H_AB"], "H_AB", shape=(n_a, n_b))
     center = build_center(h_a, h_b, h_ab)
     lead = LeadAttachment(
         kappa=_number(doc["kappa"], "kappa"),

@@ -45,7 +45,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, JointOutsideAxis, NotHermitian, ParseError
 from .model import LeadAttachment, ScatteringCenter, build_center
-from .model import _complex_matrix_field, _complex_pair, _int_field, _load_document
+from .model import _complex_pair, _int_field, _load_document, _matrix_field, _number
 
 SYMMETRY_ATOL = 1e-12
 
@@ -64,22 +64,6 @@ __all__ = [
 ]
 
 
-def _real_matrix(a, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"{name}: expected a 2-D real array, got shape {m.shape}")
-    if m.size and not np.isfinite(m).all():
-        raise ValueError(f"{name}: entries must be finite")
-    return m
-
-
-def _check_symmetric(m: np.ndarray, name: str) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{name}: expected square, got {m.shape}")
-    if m.size and float(np.abs(m - m.T).max()) > SYMMETRY_ATOL:
-        raise NotHermitian(name, float(np.abs(m - m.T).max()))
-
-
 def _check_hermitian(m: np.ndarray, name: str) -> None:
     defect = linalg.hermiticity_defect(m)
     if defect > SYMMETRY_ATOL:
@@ -87,64 +71,16 @@ def _check_hermitian(m: np.ndarray, name: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class PTGraphSpec:
-    """Real-symmetric parity graph with complex pair potentials ``v``.
+class GeneralPTGraphSpec:
+    """Parity graph with complex Hermitian blocks and complex pair potentials ``v``.
 
     ``h_gamma`` (n1 x n1) carries the axis hoppings and on-axis potentials on
     its diagonal; ``h_alpha`` (n2 x n2) the intra-pair-cluster hoppings with
     Re(v) on its diagonal if needed; ``h_gamma_alpha`` (n1 x n2) the axis-pair
     hoppings; ``h_alpha_beta`` (n2 x n2) the cross-pair hoppings. Only Im(v)
-    enters the assembled matrix, as the balanced gain/loss diagonal.
+    enters the assembled matrix, as the balanced gain/loss diagonal. Blocks
+    are stored as complex128.
     """
-
-    h_gamma: np.ndarray
-    h_alpha: np.ndarray
-    h_gamma_alpha: np.ndarray
-    h_alpha_beta: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        h_gamma = _real_matrix(self.h_gamma, "H_gamma")
-        h_alpha = _real_matrix(self.h_alpha, "H_alpha")
-        h_gamma_alpha = _real_matrix(self.h_gamma_alpha, "H_gamma_alpha")
-        h_alpha_beta = _real_matrix(self.h_alpha_beta, "H_alpha_beta")
-        _check_symmetric(h_gamma, "H_gamma")
-        _check_symmetric(h_alpha, "H_alpha")
-        _check_symmetric(h_alpha_beta, "H_alpha_beta")
-        v = np.asarray(self.v, dtype=np.complex128).reshape(-1)
-        n1, n2 = h_gamma.shape[0], h_alpha.shape[0]
-        if n1 < 1 or n2 < 1:
-            raise DimensionMismatch("need at least one axis site and one mirror pair")
-        if h_gamma_alpha.shape != (n1, n2):
-            raise DimensionMismatch(
-                f"H_gamma_alpha: expected ({n1}, {n2}), got {h_gamma_alpha.shape}"
-            )
-        if h_alpha_beta.shape != (n2, n2):
-            raise DimensionMismatch(
-                f"H_alpha_beta: expected ({n2}, {n2}), got {h_alpha_beta.shape}"
-            )
-        if v.shape != (n2,):
-            raise DimensionMismatch(f"V: expected length {n2}, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("V entries must be finite")
-        object.__setattr__(self, "h_gamma", h_gamma)
-        object.__setattr__(self, "h_alpha", h_alpha)
-        object.__setattr__(self, "h_gamma_alpha", h_gamma_alpha)
-        object.__setattr__(self, "h_alpha_beta", h_alpha_beta)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def n1(self) -> int:
-        return self.h_gamma.shape[0]
-
-    @property
-    def n2(self) -> int:
-        return self.h_alpha.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class GeneralPTGraphSpec:
-    """Same geometry with complex Hermitian blocks and complex axis coupling."""
 
     h_gamma: np.ndarray
     h_alpha: np.ndarray
@@ -191,6 +127,25 @@ class GeneralPTGraphSpec:
         return self.h_alpha.shape[0]
 
 
+class PTGraphSpec(GeneralPTGraphSpec):
+    """The real-symmetric case: the four blocks must have real entries.
+
+    Then conj(C) = C and the assembled matrix is parity-time symmetric. The
+    pair potentials ``v`` stay complex.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name, m in (
+            ("H_gamma", self.h_gamma),
+            ("H_alpha", self.h_alpha),
+            ("H_gamma_alpha", self.h_gamma_alpha),
+            ("H_alpha_beta", self.h_alpha_beta),
+        ):
+            if m.imag.any():
+                raise ValueError(f"{name}: entries must be real in a plain spec")
+
+
 def _gain_loss_diag(spec) -> np.ndarray:
     return np.diag(1j * np.imag(spec.v))
 
@@ -203,10 +158,7 @@ def assemble_hpt(spec) -> np.ndarray:
     real-symmetric flavor is the same matrix.
     """
     n1, n2 = spec.n1, spec.n2
-    g = np.asarray(spec.h_gamma, dtype=np.complex128)
-    s = np.asarray(spec.h_alpha, dtype=np.complex128)
-    w = np.asarray(spec.h_gamma_alpha, dtype=np.complex128)
-    c = np.asarray(spec.h_alpha_beta, dtype=np.complex128)
+    g, s, w, c = spec.h_gamma, spec.h_alpha, spec.h_gamma_alpha, spec.h_alpha_beta
     d = _gain_loss_diag(spec)
     m = np.zeros((n1 + 2 * n2, n1 + 2 * n2), dtype=np.complex128)
     m[:n1, :n1] = g
@@ -268,10 +220,7 @@ def fold_unitary(spec) -> np.ndarray:
 
 def _fold_blocks(spec) -> ScatteringCenter:
     n1, n2 = spec.n1, spec.n2
-    g = np.asarray(spec.h_gamma, dtype=np.complex128)
-    s = np.asarray(spec.h_alpha, dtype=np.complex128)
-    w = np.asarray(spec.h_gamma_alpha, dtype=np.complex128)
-    c = np.asarray(spec.h_alpha_beta, dtype=np.complex128)
+    g, s, w, c = spec.h_gamma, spec.h_alpha, spec.h_gamma_alpha, spec.h_alpha_beta
     d = _gain_loss_diag(spec)
     sqrt2 = np.sqrt(2.0)
     h_a = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
@@ -314,7 +263,8 @@ def fold_generalized(
     """Fold a generalized (complex Hermitian) spec.
 
     The folded coupling D - i Im(C) is anti-Hermitian because i Im(C) is
-    Hermitian for Hermitian C; the result passes center validation.
+    Hermitian for Hermitian C; the result passes center validation. A plain
+    spec is the real case and folds to the same center as with ``fold``.
     """
     if not isinstance(spec, GeneralPTGraphSpec):
         raise TypeError("fold_generalized expects a GeneralPTGraphSpec")
@@ -323,27 +273,6 @@ def fold_generalized(
 
 
 _PT_FIELDS = ("n1", "n2", "H_gamma", "H_alpha", "H_alpha_beta", "H_gamma_alpha", "V")
-
-
-def _real_matrix_field(value, field: str, shape) -> np.ndarray:
-    if not isinstance(value, list):
-        raise ParseError(f"field {field}: expected an array of rows")
-    rows = []
-    for r, row in enumerate(value, start=1):
-        if not isinstance(row, list):
-            raise ParseError(f"field {field}, row {r}: expected an array")
-        entries = []
-        for c, x in enumerate(row, start=1):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise ParseError(f"field {field}[{r}][{c}]: expected a number")
-            entries.append(float(x))
-        rows.append(entries)
-    if len({len(row) for row in rows}) > 1:
-        raise ParseError(f"field {field}: rows have unequal lengths")
-    m = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, 0))
-    if m.shape != shape:
-        raise ParseError(f"field {field}: expected shape {shape}, got {m.shape}")
-    return m
 
 
 def parse_pt_spec(text: str):
@@ -365,47 +294,29 @@ def parse_pt_spec(text: str):
     if not isinstance(v_raw, list) or len(v_raw) != n2:
         raise ParseError(f"field V: expected {n2} [re, im] pairs")
     v = np.array([_complex_pair(z, f"V[{j + 1}]") for j, z in enumerate(v_raw)])
-    if generalized:
-        blocks = {
-            name: _complex_matrix_field(doc[name], name, shape=shape)
+    entry = _complex_pair if generalized else _number
+    spec_type = GeneralPTGraphSpec if generalized else PTGraphSpec
+    # Document names lowercase to the spec's field names (H_gamma -> h_gamma).
+    return spec_type(
+        v=v,
+        **{
+            name.lower(): _matrix_field(doc[name], name, entry, shape)
             for name, shape in (
                 ("H_gamma", (n1, n1)),
                 ("H_alpha", (n2, n2)),
                 ("H_alpha_beta", (n2, n2)),
                 ("H_gamma_alpha", (n1, n2)),
             )
-        }
-        return GeneralPTGraphSpec(
-            h_gamma=blocks["H_gamma"],
-            h_alpha=blocks["H_alpha"],
-            h_gamma_alpha=blocks["H_gamma_alpha"],
-            h_alpha_beta=blocks["H_alpha_beta"],
-            v=v,
-        )
-    blocks = {
-        name: _real_matrix_field(doc[name], name, shape=shape)
-        for name, shape in (
-            ("H_gamma", (n1, n1)),
-            ("H_alpha", (n2, n2)),
-            ("H_alpha_beta", (n2, n2)),
-            ("H_gamma_alpha", (n1, n2)),
-        )
-    }
-    return PTGraphSpec(
-        h_gamma=blocks["H_gamma"],
-        h_alpha=blocks["H_alpha"],
-        h_gamma_alpha=blocks["H_gamma_alpha"],
-        h_alpha_beta=blocks["H_alpha_beta"],
-        v=v,
+        },
     )
 
 
 def serialize_pt_spec(spec) -> str:
     """Inverse of parse_pt_spec for both flavors."""
-    generalized = isinstance(spec, GeneralPTGraphSpec)
+    generalized = not isinstance(spec, PTGraphSpec)
 
     def real_rows(m):
-        return [[float(x) for x in row] for row in np.asarray(m, dtype=np.float64)]
+        return [[float(x) for x in row] for row in m.real]
 
     def complex_rows(m):
         return [[[float(z.real), float(z.imag)] for z in row] for row in m]

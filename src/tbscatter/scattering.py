@@ -48,7 +48,7 @@ from .errors import (
     SingularMatrix,
     SingularSystem,
 )
-from .model import LeadAttachment, ScatteringCenter, assemble_full_center_matrix
+from .model import LeadAttachment, _center_matrix
 
 SIN_K_MIN = 1e-8
 ETA_MIN = 1e-12
@@ -65,7 +65,6 @@ __all__ = [
     "solve_rt_formula",
     "solve_rt_direct",
     "reconstruct_wavefunction",
-    "current_deficit",
     "spectrum",
 ]
 
@@ -99,7 +98,11 @@ class ScatteringSolution:
     t: complex
     alpha: np.ndarray
     beta: np.ndarray
-    deficit: float
+
+    @property
+    def deficit(self) -> float:
+        """1 - |r|^2 - |t|^2; zero (to 1e-10) for every valid center."""
+        return 1.0 - abs(self.r) ** 2 - abs(self.t) ** 2
 
 
 @dataclass(frozen=True)
@@ -116,18 +119,6 @@ class SpectrumResult:
     entries: list[SpectrumPoint]
 
 
-def _center_matrix(center) -> tuple[np.ndarray, int]:
-    """Full matrix and the size of the joint-bearing block.
-
-    For a ScatteringCenter the joints must lie in cluster A; for a raw square
-    matrix every site is available.
-    """
-    if isinstance(center, ScatteringCenter):
-        return assemble_full_center_matrix(center), center.n_a
-    m = linalg.as_square_matrix(center)
-    return m, m.shape[0]
-
-
 def _delta_lu(center, lead: LeadAttachment, k: float):
     hc, n_joint = _center_matrix(center)
     lead.check_joints(n_joint)
@@ -137,12 +128,17 @@ def _delta_lu(center, lead: LeadAttachment, k: float):
         lu, perm, _ = linalg.lu_factor(delta)
     except SingularMatrix as exc:
         raise SingularDelta(f"center matrix is singular at k={k}: {exc}") from exc
-    return delta, lu, perm, n_joint, energy
+    return lu, perm, n_joint, energy
 
 
-def _abc_from_columns(cols: np.ndarray, lead: LeadAttachment, k: float) -> AbcCoefficients:
+def _joint_abc(lu, perm, lead: LeadAttachment, k: float) -> AbcCoefficients:
+    """Solve for the two joint columns of inv(D) on an existing factorization."""
     jl = lead.joint_left - 1
     jr = lead.joint_right - 1
+    rhs = np.zeros((lu.shape[0], 2), dtype=np.complex128)
+    rhs[jl, 0] = 1.0
+    rhs[jr, 1] = 1.0
+    cols = linalg.lu_solve_factored(lu, perm, rhs)
     kappa = lead.kappa
     g_l, g_r = lead.g_left, lead.g_right
     a = cols[jl, 0] * abs(g_l) ** 2 / kappa
@@ -156,13 +152,8 @@ def _abc_from_columns(cols: np.ndarray, lead: LeadAttachment, k: float) -> AbcCo
 
 def coefficients_abc(center, lead: LeadAttachment, k: float) -> AbcCoefficients:
     """The scaled inverse elements at the joints and the denominator eta."""
-    _, lu, perm, _, _ = _delta_lu(center, lead, k)
-    n = lu.shape[0]
-    rhs = np.zeros((n, 2), dtype=np.complex128)
-    rhs[lead.joint_left - 1, 0] = 1.0
-    rhs[lead.joint_right - 1, 1] = 1.0
-    cols = linalg.lu_solve_factored(lu, perm, rhs)
-    return _abc_from_columns(cols, lead, k)
+    lu, perm, _, _ = _delta_lu(center, lead, k)
+    return _joint_abc(lu, perm, lead, k)
 
 
 def solve_rt_formula(center, lead: LeadAttachment, k: float) -> ScatteringSolution:
@@ -172,13 +163,9 @@ def solve_rt_formula(center, lead: LeadAttachment, k: float) -> ScatteringSoluti
     known r, t on the source side. Raises PoleAtK when |eta| <= ETA_MIN and
     SingularDelta when the shifted center matrix cannot be factorized.
     """
-    delta, lu, perm, n_joint, energy = _delta_lu(center, lead, k)
-    n = delta.shape[0]
-    rhs = np.zeros((n, 2), dtype=np.complex128)
-    rhs[lead.joint_left - 1, 0] = 1.0
-    rhs[lead.joint_right - 1, 1] = 1.0
-    cols = linalg.lu_solve_factored(lu, perm, rhs)
-    abc = _abc_from_columns(cols, lead, k)
+    lu, perm, n_joint, energy = _delta_lu(center, lead, k)
+    n = lu.shape[0]
+    abc = _joint_abc(lu, perm, lead, k)
     if abs(abc.eta) <= ETA_MIN:
         raise PoleAtK(f"|eta| = {abs(abc.eta):.3e} at k={k}")
     eik = cmath.exp(1j * k)
@@ -190,17 +177,13 @@ def solve_rt_formula(center, lead: LeadAttachment, k: float) -> ScatteringSoluti
     source[lead.joint_left - 1] += lead.g_left * (emik + r * eik)
     source[lead.joint_right - 1] += lead.g_right * (t * eik)
     x = linalg.lu_solve_factored(lu, perm, source)
-    r = complex(r)
-    t = complex(t)
-    deficit = 1.0 - abs(r) ** 2 - abs(t) ** 2
     return ScatteringSolution(
         k=float(k),
         energy=energy,
-        r=r,
-        t=t,
+        r=complex(r),
+        t=complex(t),
         alpha=x[:n_joint],
         beta=x[n_joint:],
-        deficit=deficit,
     )
 
 
@@ -239,17 +222,13 @@ def solve_rt_direct(center, lead: LeadAttachment, k: float) -> ScatteringSolutio
         x = linalg.lu_solve(m, rhs)
     except SingularMatrix as exc:
         raise SingularSystem(f"augmented system singular at k={k}: {exc}") from exc
-    r = complex(x[n])
-    t = complex(x[n + 1])
-    deficit = 1.0 - abs(r) ** 2 - abs(t) ** 2
     return ScatteringSolution(
         k=float(k),
         energy=energy,
-        r=r,
-        t=t,
+        r=complex(x[n]),
+        t=complex(x[n + 1]),
         alpha=x[:n_joint],
         beta=x[n_joint:n],
-        deficit=deficit,
     )
 
 
@@ -262,11 +241,6 @@ def reconstruct_wavefunction(solution: ScatteringSolution, site: int) -> complex
     if j <= -1:
         return cmath.exp(1j * k * j) + solution.r * cmath.exp(-1j * k * j)
     return solution.t * cmath.exp(1j * k * j)
-
-
-def current_deficit(solution: ScatteringSolution) -> float:
-    """1 - |r|^2 - |t|^2; zero (to 1e-10) for every valid center."""
-    return 1.0 - abs(solution.r) ** 2 - abs(solution.t) ** 2
 
 
 def schrodinger_residual(center, lead: LeadAttachment, solution: ScatteringSolution) -> float:

@@ -328,26 +328,26 @@ def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
         center, lead = random_valid_center(center_rng)
         delta = None
         for _ in range(MAX_REDRAWS):
-            k = _random_momentum(aux_rng)
-            d = assemble_delta(center, -2.0 * lead.kappa * np.cos(k))
-            det_val = linalg.det(d.matrix)
+            energy = -2.0 * lead.kappa * np.cos(_random_momentum(aux_rng))
+            d = assemble_delta(center, energy)
+            det_val = linalg.det(d)
             if abs(det_val) > 0:
                 delta = d
                 break
         if delta is None:
             continue
-        where = f"trial {trial}, E={delta.energy:.6f}"
+        where = f"trial {trial}, E={energy:.6f}"
         det_imag.update(abs(det_val.imag) / abs(det_val), where)
-        inv = linalg.inverse(delta.matrix)
+        inv = linalg.inverse(delta)
         n_a = center.n_a
         lu = inv[:n_a, :n_a]
         cof = np.array([
-            [linalg.inverse_element_cofactor(delta.matrix, i, j, det_a=det_val)
+            [linalg.inverse_element_cofactor(delta, i, j, det_a=det_val)
              for j in range(1, n_a + 1)]
             for i in range(1, n_a + 1)
         ])
         energies += 1
-        cond_d = linalg.norm_inf(delta.matrix) * linalg.norm_inf(inv)
+        cond_d = linalg.norm_inf(delta) * linalg.norm_inf(inv)
         cond.update(cond_d, where)
         rounding = cond_d * float(np.abs(inv).max()) * UNIT_ROUNDOFF
         if rounding > NEAR_SINGULAR_FRACTION * INVERSE_SYMMETRY_TOL:
@@ -357,7 +357,7 @@ def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
             cof_symmetry.update(float(np.abs(cof - cof.conj().T).max()), where)
         gap = np.abs(cof - lu) / np.maximum(np.maximum(np.abs(cof), np.abs(lu)), 1.0)
         route_gap.update(float(gap.max()), where)
-        s_a = effective_hamiltonian(center, delta.energy)
+        s_a = effective_hamiltonian(center, energy)
         scale = float(np.abs(s_a).max())
         schur_defect.update(linalg.hermiticity_defect(s_a) / scale if scale else 0.0, where)
         try:

@@ -30,7 +30,7 @@ from scipy import sparse
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidConfig, StepTooLarge
-from .model import LeadAttachment, ScatteringCenter, assemble_full_center_matrix
+from .model import LeadAttachment, _center_matrix
 
 # Stability/accuracy bound for the RK4 step relative to the matrix scale.
 DT_MAX_FACTOR = 0.05
@@ -91,17 +91,11 @@ class WavepacketConfig:
         object.__setattr__(self, "dt", dt)
 
 
-def _center_matrix(center) -> np.ndarray:
-    if isinstance(center, ScatteringCenter):
-        return assemble_full_center_matrix(center)
-    return linalg.as_square_matrix(center)
-
-
 def build_finite_system(center, lead: LeadAttachment, n: int) -> np.ndarray:
     """Dense matrix of two n-site leads around the embedded center."""
-    hc = _center_matrix(center)
+    hc, n_joint = _center_matrix(center)
     nc = hc.shape[0]
-    lead.check_joints(nc if not isinstance(center, ScatteringCenter) else center.n_a)
+    lead.check_joints(n_joint)
     n = int(n)
     if n < 1:
         raise DimensionMismatch("each lead needs at least one site")

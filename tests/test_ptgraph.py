@@ -21,7 +21,9 @@ from tbscatter import (
     folded_four_site,
     four_site_center,
     parity_matrix,
+    parse_network_spec,
     parse_pt_spec,
+    serialize_network_spec,
     serialize_pt_spec,
     solve_rt_direct,
 )
@@ -193,6 +195,7 @@ class TestFoldGeneralized:
             v=plain.v,
         )
         assert fold_generalized(general) == fold(plain)
+        assert fold_generalized(plain) == fold(plain)
 
     def test_similarity_oracle(self):
         rng = np.random.default_rng(15)
@@ -227,6 +230,16 @@ class TestFoldGeneralized:
                 h_gamma_alpha=np.zeros((2, 1)),
                 h_alpha_beta=np.zeros((1, 1)),
                 v=np.zeros(1),
+            )
+
+    def test_plain_spec_rejects_imaginary_entries(self):
+        with pytest.raises(ValueError, match="H_gamma_alpha"):
+            PTGraphSpec(
+                h_gamma=np.zeros((2, 2)),
+                h_alpha=np.zeros((1, 1)),
+                h_gamma_alpha=np.array([[1.0 + 2.0j], [0.5j]]),
+                h_alpha_beta=np.zeros((1, 1)),
+                v=np.array([1j]),
             )
 
 
@@ -268,6 +281,29 @@ class TestPtSpecDocuments:
         doc["H_gamma_alpha"] = [[1.0]]
         with pytest.raises(ParseError, match="H_gamma_alpha"):
             parse_pt_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("empty", [[], [[]]])
+    @pytest.mark.parametrize(
+        "field, generalized",
+        [("H_AB", None)]
+        + [
+            (name, generalized)
+            for name in ("H_gamma", "H_alpha", "H_alpha_beta", "H_gamma_alpha")
+            for generalized in (False, True)
+        ],
+    )
+    def test_empty_field_needs_a_zero_dimension(self, field, generalized, empty):
+        if generalized is None:
+            doc = json.loads(serialize_network_spec(*folded_four_site(FourSiteParams(1.0, 1.0))))
+            parse = parse_network_spec
+        else:
+            rng = np.random.default_rng(19)
+            spec = random_general_pt_spec(rng) if generalized else ring_as_pt_spec(1.0)
+            doc = json.loads(serialize_pt_spec(spec))
+            parse = parse_pt_spec
+        doc[field] = empty
+        with pytest.raises(ParseError, match=f"field {field}: expected shape"):
+            parse(json.dumps(doc))
 
     def test_rejects_wrong_potential_count(self):
         spec = ring_as_pt_spec(1.0)

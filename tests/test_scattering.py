@@ -19,7 +19,6 @@ from tbscatter import (
     build_center,
     closed_form_deficit,
     coefficients_abc,
-    current_deficit,
     dispersion,
     four_site_center,
     hermitian_side_coupled_center,
@@ -79,7 +78,7 @@ class TestCoefficients:
         center, lead = random_valid_center(rng, na_max=5, nb_max=5)
         k = 0.7
         abc = coefficients_abc(center, lead, k)
-        inv = linalg.inverse(assemble_delta(center, dispersion(k, lead.kappa)).matrix)
+        inv = linalg.inverse(assemble_delta(center, dispersion(k, lead.kappa)))
         jl, jr = lead.joint_left - 1, lead.joint_right - 1
         kappa = lead.kappa
         assert abc.a == pytest.approx(inv[jl, jl] * abs(lead.g_left) ** 2 / kappa, rel=1e-10)
@@ -171,14 +170,14 @@ class TestWavefunction:
     def test_transmitted_site(self):
         sol = ScatteringSolution(
             k=math.pi / 2, energy=0.0, r=0.0, t=1.0,
-            alpha=np.zeros(1), beta=np.zeros(0), deficit=0.0,
+            alpha=np.zeros(1), beta=np.zeros(0),
         )
         assert reconstruct_wavefunction(sol, 2) == pytest.approx(-1.0)
 
     def test_incident_plus_reflected(self):
         sol = ScatteringSolution(
             k=0.8, energy=-2 * math.cos(0.8), r=0.3 - 0.1j, t=0.0,
-            alpha=np.zeros(1), beta=np.zeros(0), deficit=0.0,
+            alpha=np.zeros(1), beta=np.zeros(0),
         )
         expected = cmath.exp(-0.8j) + (0.3 - 0.1j) * cmath.exp(0.8j)
         assert reconstruct_wavefunction(sol, -1) == pytest.approx(expected)
@@ -186,7 +185,7 @@ class TestWavefunction:
     def test_site_zero_invalid(self):
         sol = ScatteringSolution(
             k=1.0, energy=0.0, r=0.0, t=1.0,
-            alpha=np.zeros(1), beta=np.zeros(0), deficit=0.0,
+            alpha=np.zeros(1), beta=np.zeros(0),
         )
         with pytest.raises(InvalidSite):
             reconstruct_wavefunction(sol, 0)
@@ -206,9 +205,9 @@ class TestDeficit:
     def test_pure_reflection(self):
         sol = ScatteringSolution(
             k=1.0, energy=0.0, r=1.0, t=0.0,
-            alpha=np.zeros(1), beta=np.zeros(0), deficit=0.0,
+            alpha=np.zeros(1), beta=np.zeros(0),
         )
-        assert current_deficit(sol) == 0.0
+        assert sol.deficit == 0.0
 
     def test_valid_centers_conserve(self):
         rng = np.random.default_rng(70)
@@ -216,14 +215,14 @@ class TestDeficit:
             center, lead = random_valid_center(rng)
             k = float(rng.uniform(0.1, math.pi - 0.1))
             sol = solve_rt_formula(center, lead, k)
-            assert abs(current_deficit(sol)) <= 1e-10
+            assert abs(sol.deficit) <= 1e-10
 
     def test_unbalanced_ring_matches_formula_everywhere(self):
         params = FourSiteParams(1.5, 0.5)
         matrix, lead = four_site_center(params)
         for k in np.linspace(0.2, math.pi - 0.2, 23):
             sol = solve_rt_direct(matrix, lead, float(k))
-            assert current_deficit(sol) == pytest.approx(
+            assert sol.deficit == pytest.approx(
                 closed_form_deficit(float(k), params), abs=1e-10
             )
 
