@@ -1,5 +1,9 @@
 """Dense complex matrix kernel built on an explicitly pivoted LU factorization.
 
+The LU is recursive on columns with partial pivoting: narrow panels are
+factored column by column and everything else is matrix products, so the
+kernel runs on numpy alone at close to BLAS speed for large matrices.
+
 Matrices are plain numpy arrays of complex128. Two independent routes to the
 elements of an inverse are provided: the factorization route (``inverse``) and
 the cofactor/minor route (``inverse_element_cofactor``). Verification code
@@ -67,32 +71,74 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray, int]:
     Returns ``(lu, perm, sign)``: the packed L\\U factors of ``a[perm]`` (L has
     an implicit unit diagonal) and the permutation sign. Raises SingularMatrix
     when a pivot magnitude drops below ``PIVOT_RTOL * norm_inf(a)``.
+
+    The factorization is recursive on columns (Toledo 1997; Gustavson 1997):
+    factor the left half, apply inv(L11) to the top-right block, update the
+    trailing block with one matrix product, then factor the right half. Panels
+    of at most ``_LEAF_COLS`` columns run the unblocked pivot step, so almost
+    all flops go through matmul while the pivot choice, the singularity test
+    at every pivot and the full-row swaps stay those of the unblocked loop.
     """
     m = as_square_matrix(a).copy()
     n = m.shape[0]
     perm = np.arange(n)
-    sign = 1
     if n == 0:
-        return m, perm, sign
+        return m, perm, 1
     max_row = float(np.abs(m).sum(axis=1).max())
     if max_row == 0.0:
         raise SingularMatrix("zero matrix")
-    threshold = PIVOT_RTOL * max_row
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(m[col:, col])))
-        if np.abs(m[p, col]) < threshold:
+    sign = _factor_columns(m, perm, 0, n, PIVOT_RTOL * max_row)
+    return m, perm, sign
+
+
+# Panels this narrow are factored column by column; wider ones are split.
+_LEAF_COLS = 8
+
+
+def _factor_columns(m: np.ndarray, perm: np.ndarray, c0: int, c1: int, threshold: float) -> int:
+    """Factor columns ``c0:c1`` of ``m`` in place (rows ``c0:`` active), given
+    that columns ``:c0`` are factored and ``c0:c1`` are updated by them.
+    Row swaps run over full rows and are recorded in ``perm``; returns the
+    sign of the swaps made."""
+    if c1 - c0 > _LEAF_COLS:
+        mid = (c0 + c1) // 2
+        sign = _factor_columns(m, perm, c0, mid, threshold)
+        _unit_lower_solve(m[c0:mid, c0:mid], m[c0:mid, mid:c1])
+        m[mid:, mid:c1] -= m[mid:, c0:mid] @ m[c0:mid, mid:c1]
+        return sign * _factor_columns(m, perm, mid, c1, threshold)
+    sign = 1
+    for col in range(c0, c1):
+        p = col + int(np.abs(m[col:, col]).argmax())
+        pivot = m[p, col]
+        if abs(pivot) < threshold:
             raise SingularMatrix(
-                f"pivot {abs(m[p, col]):.3e} below threshold {threshold:.3e} "
+                f"pivot {abs(pivot):.3e} below threshold {threshold:.3e} "
                 f"at column {col + 1}"
             )
         if p != col:
-            m[[col, p]] = m[[p, col]]
-            perm[[col, p]] = perm[[p, col]]
+            row = m[p].copy()
+            m[p] = m[col]
+            m[col] = row
+            perm[col], perm[p] = perm[p], perm[col]
             sign = -sign
-        m[col + 1 :, col] /= m[col, col]
-        if col + 1 < n:
-            m[col + 1 :, col + 1 :] -= np.outer(m[col + 1 :, col], m[col, col + 1 :])
-    return m, perm, sign
+        below = m[col + 1 :, col]
+        below /= pivot
+        if col + 1 < c1:
+            m[col + 1 :, col + 1 : c1] -= below[:, None] * m[col, col + 1 : c1]
+    return sign
+
+
+def _unit_lower_solve(lower: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite ``b`` with inv(L) b, L the unit lower triangle of ``lower``."""
+    k = lower.shape[0]
+    if k > _LEAF_COLS:
+        h = k // 2
+        _unit_lower_solve(lower[:h, :h], b[:h])
+        b[h:] -= lower[h:, :h] @ b[:h]
+        _unit_lower_solve(lower[h:, h:], b[h:])
+        return
+    for i in range(1, k):
+        b[i] -= lower[i, :i] @ b[:i]
 
 
 def lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b) -> np.ndarray:

@@ -246,14 +246,51 @@ def _int_field(value, field: str) -> int:
     return value
 
 
+def _numeric_matrix(value: list, pairs: bool) -> np.ndarray | None:
+    """``value`` as complex128 in one conversion, when it is a rectangular
+    array of numbers (of [re, im] pairs if ``pairs``); else None.
+
+    Every leaf must be an int or float: a bool would pass as 1.0 and a string
+    like "1.5" would convert, where the entry readers reject both.
+    """
+    try:
+        if pairs:
+            leaf_types = {type(x) for row in value for z in row for x in z}
+        else:
+            leaf_types = {type(z) for row in value for z in row}
+        if not leaf_types <= {int, float}:
+            return None
+        a = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != 2 + pairs or (pairs and a.shape[2] != 2):
+        return None
+    if pairs:
+        return a.view(np.complex128).reshape(a.shape[:2])
+    return a.astype(np.complex128)
+
+
 def _matrix_field(value, field: str, entry=_complex_pair, shape=None) -> np.ndarray:
     """Rows of entries read by ``entry`` (``_complex_pair`` or ``_number``), as complex128.
 
     [] or rows of [] stand for a matrix with no entries; that is accepted only
     where the expected ``shape`` has a zero dimension, and then padded to it.
+    A well-formed field converts in one step; anything else is read entry by
+    entry, so that the error names the first bad entry.
     """
     if not isinstance(value, list):
         raise ParseError(f"field {field}: expected an array of rows")
+    m = _numeric_matrix(value, pairs=entry is _complex_pair)
+    if m is None:
+        m = _matrix_by_entries(value, field, entry)
+    if shape is not None and m.size == 0 and 0 in shape:
+        m = np.zeros(shape, dtype=np.complex128)
+    if shape is not None and m.shape != shape:
+        raise ParseError(f"field {field}: expected shape {shape}, got {m.shape}")
+    return m
+
+
+def _matrix_by_entries(value: list, field: str, entry) -> np.ndarray:
     rows = []
     for r, row in enumerate(value, start=1):
         if not isinstance(row, list):
@@ -262,12 +299,7 @@ def _matrix_field(value, field: str, entry=_complex_pair, shape=None) -> np.ndar
     widths = {len(row) for row in rows}
     if len(widths) > 1:
         raise ParseError(f"field {field}: rows have unequal lengths")
-    m = np.array(rows, dtype=np.complex128).reshape(len(rows), widths.pop() if widths else 0)
-    if shape is not None and m.size == 0 and 0 in shape:
-        m = np.zeros(shape, dtype=np.complex128)
-    if shape is not None and m.shape != shape:
-        raise ParseError(f"field {field}: expected shape {shape}, got {m.shape}")
-    return m
+    return np.array(rows, dtype=np.complex128).reshape(len(rows), widths.pop() if widths else 0)
 
 
 def _load_document(text: str, required: tuple, optional: tuple = ()) -> dict:

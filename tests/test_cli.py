@@ -1,17 +1,51 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tbscatter import FourSiteParams, folded_four_site, parse_network_spec
+import tbscatter
+from tbscatter import (
+    FourSiteParams,
+    LeadAttachment,
+    build_center,
+    folded_four_site,
+    parse_network_spec,
+    serialize_network_spec,
+)
 from tbscatter.cli import run
-from tbscatter.verify import CheckResult, SuiteReport
+from tbscatter.verify import CheckResult, SuiteReport, random_hermitian
+
+PACKAGE_PARENT = str(Path(tbscatter.__file__).resolve().parents[1])
 
 
 def extract(pattern: str, text: str) -> float:
     match = re.search(pattern, text)
     assert match, f"pattern {pattern!r} not found in:\n{text}"
     return float(match.group(1))
+
+
+def run_fresh(code: str, blas_threads: int = 1) -> str:
+    """Run ``code`` in a new interpreter on this package, with OpenBLAS
+    pinned to ``blas_threads`` before numpy loads; returns its stdout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_PARENT, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def write_random_spec(path: Path, n_a: int, n_b: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    h_ab = rng.standard_normal((n_a, n_b)) + 1j * rng.standard_normal((n_a, n_b))
+    center = build_center(random_hermitian(rng, n_a), random_hermitian(rng, n_b), h_ab)
+    lead = LeadAttachment(kappa=1.0, g_left=0.8, g_right=0.6 + 0.2j, joint_left=3, joint_right=17)
+    path.write_text(serialize_network_spec(center, lead), encoding="utf-8")
 
 
 class TestSolve:
@@ -61,6 +95,40 @@ class TestSpectrum:
             k, T, R, deficit, status = line.split(",")
             assert status in ("ok", "pole", "singular")
             assert abs(float(deficit)) <= 1e-10
+
+    def test_csv_repeats_at_a_fixed_blas_thread_count(self, tmp_path):
+        # At 256 sites OpenBLAS splits the LU's largest matrix products
+        # between two threads, which changes their rounding, so the output is
+        # promised identical only for a fixed BLAS thread count.
+        spec = tmp_path / "center.json"
+        write_random_spec(spec, 128, 128, seed=130)
+        for threads in (1, 2):
+            outputs = []
+            for rep in range(2):
+                out = tmp_path / f"threads{threads}-{rep}.csv"
+                argv = ["spectrum", "--spec", str(spec), "--k-min", "0.2", "--k-max", "2.9",
+                        "--steps", "6", "--out", str(out)]
+                run_fresh(f"from tbscatter.cli import run; raise SystemExit(run({argv!r}))",
+                          threads)
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1], f"{threads} BLAS threads"
+            assert len(outputs[0].splitlines()) == 7
+
+
+def test_verify_and_spectrum_do_not_import_scipy_linalg(tmp_path):
+    # scipy.linalg adds about 8 MB resident; the dense kernel is numpy only.
+    spec = tmp_path / "center.json"
+    write_random_spec(spec, 40, 8, seed=3)
+    spectrum = ["spectrum", "--spec", str(spec), "--k-min", "0.2", "--k-max", "2.9",
+                "--steps", "3", "--out", str(tmp_path / "out.csv")]
+    out = run_fresh(
+        "import sys\n"
+        "from tbscatter.cli import run\n"
+        "assert run(['verify', '--trials', '3', '--seed', '1', '--suite', 'all']) == 0\n"
+        f"assert run({spectrum!r}) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == "False"
 
 
 class TestVerifyCommand:

@@ -53,6 +53,60 @@ class TestLuSolve:
             linalg.lu_solve(np.eye(3), np.ones(2))
 
 
+def unblocked_lu_factor(a):
+    """Unblocked right-looking LU with rank-1 updates, the reference for
+    ``linalg.lu_factor``: same pivot rule, threshold and message."""
+    m = linalg.as_square_matrix(a).copy()
+    n = m.shape[0]
+    perm = np.arange(n)
+    sign = 1
+    threshold = linalg.PIVOT_RTOL * float(np.abs(m).sum(axis=1).max())
+    for col in range(n):
+        p = col + int(np.argmax(np.abs(m[col:, col])))
+        if np.abs(m[p, col]) < threshold:
+            raise SingularMatrix(
+                f"pivot {abs(m[p, col]):.3e} below threshold {threshold:.3e} "
+                f"at column {col + 1}"
+            )
+        if p != col:
+            m[[col, p]] = m[[p, col]]
+            perm[[col, p]] = perm[[p, col]]
+            sign = -sign
+        m[col + 1 :, col] /= m[col, col]
+        if col + 1 < n:
+            m[col + 1 :, col + 1 :] -= np.outer(m[col + 1 :, col], m[col, col + 1 :])
+    return m, perm, sign
+
+
+class TestRecursiveLuMatchesUnblocked:
+    # Sizes straddle the leaf width and the odd splits below it; 258 is the
+    # size of a 256-site center with two extra rows.
+    @pytest.mark.parametrize("n", [9, 17, 33, 64, 100, 258])
+    def test_same_pivots_and_factors(self, n):
+        rng = np.random.default_rng(n)
+        a = random_delta_like(rng, n // 2, n - n // 2, energy=0.3)
+        lu, perm, sign = linalg.lu_factor(a)
+        lu_ref, perm_ref, sign_ref = unblocked_lu_factor(a)
+        np.testing.assert_array_equal(perm, perm_ref)
+        assert sign == sign_ref
+        assert np.abs(lu - lu_ref).max() <= 1e-12 * np.abs(lu_ref).max()
+        d = linalg.det(a)
+        assert abs(d - np.linalg.det(a)) <= 1e-10 * abs(d)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = linalg.lu_solve_factored(lu, perm, b)
+        residual = np.abs(a @ x - b).max()
+        assert residual <= 1e-10 * (linalg.norm_inf(a) * np.abs(x).max() + np.abs(b).max())
+
+    def test_dependent_column_names_the_same_column(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        a[:, 40] = a[:, :40] @ (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        with pytest.raises(SingularMatrix, match=r"at column 41$"):
+            unblocked_lu_factor(a)
+        with pytest.raises(SingularMatrix, match=r"at column 41$"):
+            linalg.lu_factor(a)
+
+
 class TestDet:
     def test_identity(self):
         assert linalg.det(np.eye(4)) == 1.0

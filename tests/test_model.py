@@ -219,6 +219,17 @@ class TestNetworkSpecRoundTrip:
         with pytest.raises(ParseError, match=r"H_A\[1\]\[1\]"):
             parse_network_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad, shown", [(True, "True"), ("1.5", "'1.5'")])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_bool_or_numeric_string_entry_is_rejected(self, bad, shown, part):
+        # Both would convert silently in a whole-array conversion.
+        doc = json.loads(serialize_network_spec(*folded_four_site(FourSiteParams(1.0, 1.0))))
+        assert np.shape(doc["H_A"]) == (3, 3, 2)
+        doc["H_A"][1][2][part] = bad
+        with pytest.raises(ParseError) as excinfo:
+            parse_network_spec(json.dumps(doc))
+        assert str(excinfo.value) == f"field H_A[2][3]: expected a number, got {shown}"
+
     def test_rejects_non_hermitian_document(self):
         doc = json.loads(serialize_network_spec(*folded_four_site(FourSiteParams(1.0, 1.0))))
         doc["H_A"][0][1] = [5.0, 0.0]

@@ -305,6 +305,15 @@ class TestPtSpecDocuments:
         with pytest.raises(ParseError, match=f"field {field}: expected shape"):
             parse(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad, shown", [(True, "True"), ("1.5", "'1.5'")])
+    def test_bool_or_numeric_string_entry_is_rejected(self, bad, shown):
+        doc = json.loads(serialize_pt_spec(ring_as_pt_spec(1.0)))
+        doc["n1"] = 3
+        doc["H_gamma"] = [[0.0, 1.0, 0.0], [1.0, 0.0, bad], [0.0, 1.0, 0.0]]
+        with pytest.raises(ParseError) as excinfo:
+            parse_pt_spec(json.dumps(doc))
+        assert str(excinfo.value) == f"field H_gamma[2][3]: expected a number, got {shown}"
+
     def test_rejects_wrong_potential_count(self):
         spec = ring_as_pt_spec(1.0)
         doc = json.loads(serialize_pt_spec(spec))
