@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import linalg
 from .errors import ScatterError
 from .four_site import (
     FourSiteParams,
@@ -31,14 +30,13 @@ from .ptgraph import (
     PTGraphSpec,
     assemble_hpt,
     check_pt_symmetry,
-    fold,
     fold_generalized,
     parity_matrix,
     parse_pt_spec,
 )
 from .scattering import solve_rt_direct, solve_rt_formula, spectrum
 from .verify import SUITE_NAMES, run_suites
-from .wavepacket import WavepacketConfig, build_finite_system, run_experiment
+from .wavepacket import WavepacketConfig, run_experiment
 
 CSV_HEADER = "k,T,R,deficit,status"
 
@@ -178,8 +176,7 @@ def _cmd_pt_fold(args) -> int:
     print(f"spec sha256={_digest(text)}  {flavor} graph n1={spec.n1} n2={spec.n2}")
     print(f"parity-time defect of assembled matrix = {defect!r}"
           + ("" if flavor == "plain" else "  (reported only)"))
-    folder = fold if flavor == "plain" else fold_generalized
-    center = folder(spec, lead)
+    center = fold_generalized(spec, lead)
     out_text = serialize_network_spec(center, lead)
     Path(args.out).write_text(out_text, encoding="utf-8")
     print(f"wrote folded network spec to {args.out} "
@@ -195,19 +192,14 @@ def _cmd_wavepacket(args) -> int:
     x0 = args.x0 if args.x0 is not None else -n / 2.0
     # Default evolution: packet center 4.5 sigma past the joint. Longer runs
     # expose physically growing eigenmodes of the finite non-Hermitian
-    # system, which contaminate the asymptotic masses.
-    t_final = args.t_final if args.t_final is not None else (abs(x0) + 4.5 * args.sigma) / v
-    # The dense finite system is only needed for its norm here; it is not
-    # kept, so that run_experiment's own copy is the only one alive.
-    dt = args.dt
-    if dt is None:
-        dt = 0.04 / linalg.norm_inf(build_finite_system(center, lead, n))
+    # system, which contaminate the asymptotic masses. v = 0 only at k0 = 0,
+    # which WavepacketConfig rejects.
+    t_final = args.t_final
+    if t_final is None:
+        t_final = (abs(x0) + 4.5 * args.sigma) / v if v else math.inf
     config = WavepacketConfig(
-        chain_half_length=n, x0=x0, sigma=args.sigma, k0=args.k0,
-        t_final=t_final, dt=dt,
+        chain_half_length=n, x0=x0, sigma=args.sigma, k0=args.k0, t_final=t_final,
     )
-    print(f"spec sha256={_digest(text)}  n={n} x0={x0!r} sigma={args.sigma!r} "
-          f"k0={args.k0!r} t_final={t_final!r} dt={dt!r}")
     rows = ["time,p_left,p_center,p_right,total_norm"]
 
     def probe(t, p_l, p_c, p_r, norm):
@@ -215,6 +207,8 @@ def _cmd_wavepacket(args) -> int:
 
     start = time.perf_counter()
     result = run_experiment(center, lead, config, probe=probe)
+    print(f"spec sha256={_digest(text)}  n={n} x0={x0!r} sigma={args.sigma!r} "
+          f"k0={args.k0!r} t_final={t_final!r} dt={result['dt']!r}")
     Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
     sol = solve_rt_direct(center, lead, args.k0)
     print(f"wrote {len(rows) - 1} probe rows to {args.out} "
@@ -290,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=_cmd_wavepacket)
 
     return parser

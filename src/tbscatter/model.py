@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def _check_hermitian(m: np.ndarray, name: str) -> None:
+    defect = linalg.hermiticity_defect(m)
+    if defect > HERMITICITY_ATOL:
+        raise NotHermitian(name, defect)
+
+
 @dataclass(frozen=True, eq=False)
 class ScatteringCenter:
     """Validated center blocks; construction rejects non-Hermitian clusters.
@@ -64,13 +70,8 @@ class ScatteringCenter:
                 f"H_AB shape {h_ab.shape} does not match "
                 f"({h_a.shape[0]}, {h_b.shape[0]})"
             )
-        defect = linalg.hermiticity_defect(h_a)
-        if defect > HERMITICITY_ATOL:
-            raise NotHermitian("H_A", defect)
-        if h_b.shape[0]:
-            defect = linalg.hermiticity_defect(h_b)
-            if defect > HERMITICITY_ATOL:
-                raise NotHermitian("H_B", defect)
+        _check_hermitian(h_a, "H_A")
+        _check_hermitian(h_b, "H_B")
         object.__setattr__(self, "h_a", h_a)
         object.__setattr__(self, "h_b", h_b)
         object.__setattr__(self, "h_ab", h_ab)
@@ -93,7 +94,7 @@ class ScatteringCenter:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LeadAttachment:
     """Waveguide hopping and the two joint couplings on cluster A.
 
@@ -137,17 +138,6 @@ class LeadAttachment:
                 f"cluster size {n_sites}"
             )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LeadAttachment):
-            return NotImplemented
-        return (
-            self.kappa == other.kappa
-            and self.g_left == other.g_left
-            and self.g_right == other.g_right
-            and self.joint_left == other.joint_left
-            and self.joint_right == other.joint_right
-        )
-
 
 def build_center(h_a, h_b=None, h_ab=None) -> ScatteringCenter:
     """Validated constructor; ``h_b``/``h_ab`` may be omitted or empty."""
@@ -178,23 +168,26 @@ def assemble_full_center_matrix(center: ScatteringCenter) -> np.ndarray:
     return m
 
 
-def _center_matrix(center) -> tuple[np.ndarray, int]:
-    """Full matrix and the size of the joint-bearing block.
+def _shifted_center(center, energy: float, lead: LeadAttachment | None = None):
+    """D = H_C - ``energy`` as a new array, and the size of the joint-bearing block.
 
-    For a ScatteringCenter the joints must lie in cluster A; for a raw square
-    matrix every site is available.
+    ``center`` is a ScatteringCenter, whose joints must lie in cluster A, or a
+    raw square matrix, where every site is available. When ``lead`` is given
+    its joints are checked against that block.
     """
     if isinstance(center, ScatteringCenter):
-        return assemble_full_center_matrix(center), center.n_a
-    m = linalg.as_square_matrix(center)
-    return m, m.shape[0]
+        hc, n_joint = assemble_full_center_matrix(center), center.n_a
+    else:
+        hc = linalg.as_square_matrix(center)
+        n_joint = hc.shape[0]
+    if lead is not None:
+        lead.check_joints(n_joint)
+    return hc - float(energy) * np.eye(hc.shape[0]), n_joint
 
 
-def assemble_delta(center: ScatteringCenter, energy: float) -> np.ndarray:
-    """Full center matrix minus ``energy`` on the diagonal."""
-    m = assemble_full_center_matrix(center)
-    m -= float(energy) * np.eye(m.shape[0])
-    return m
+def assemble_delta(center, energy: float) -> np.ndarray:
+    """Full center matrix (or raw square matrix) minus ``energy`` on the diagonal."""
+    return _shifted_center(center, energy)[0]
 
 
 def effective_hamiltonian(center: ScatteringCenter, energy: float) -> np.ndarray:

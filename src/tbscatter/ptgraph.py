@@ -43,14 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, JointOutsideAxis, NotHermitian, ParseError
+from .errors import DimensionMismatch, JointOutsideAxis, ParseError
 from .model import LeadAttachment, ScatteringCenter, build_center
-from .model import _complex_pair, _int_field, _load_document, _matrix_field, _number
-
-SYMMETRY_ATOL = 1e-12
+from .model import _check_hermitian, _complex_pair, _int_field, _load_document
+from .model import _matrix_field, _matrix_to_pairs, _number
 
 __all__ = [
-    "SYMMETRY_ATOL",
     "PTGraphSpec",
     "GeneralPTGraphSpec",
     "assemble_hpt",
@@ -62,12 +60,6 @@ __all__ = [
     "parse_pt_spec",
     "serialize_pt_spec",
 ]
-
-
-def _check_hermitian(m: np.ndarray, name: str) -> None:
-    defect = linalg.hermiticity_defect(m)
-    if defect > SYMMETRY_ATOL:
-        raise NotHermitian(name, defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,10 +310,7 @@ def serialize_pt_spec(spec) -> str:
     def real_rows(m):
         return [[float(x) for x in row] for row in m.real]
 
-    def complex_rows(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-    rows = complex_rows if generalized else real_rows
+    rows = _matrix_to_pairs if generalized else real_rows
     doc = {
         "n1": spec.n1,
         "n2": spec.n2,

@@ -48,7 +48,7 @@ from .errors import (
     SingularMatrix,
     SingularSystem,
 )
-from .model import LeadAttachment, _center_matrix
+from .model import LeadAttachment, _shifted_center
 
 SIN_K_MIN = 1e-8
 ETA_MIN = 1e-12
@@ -120,10 +120,8 @@ class SpectrumResult:
 
 
 def _delta_lu(center, lead: LeadAttachment, k: float):
-    hc, n_joint = _center_matrix(center)
-    lead.check_joints(n_joint)
     energy = dispersion(k, lead.kappa)
-    delta = hc - energy * np.eye(hc.shape[0])
+    delta, n_joint = _shifted_center(center, energy, lead)
     try:
         lu, perm, _ = linalg.lu_factor(delta)
     except SingularMatrix as exc:
@@ -194,10 +192,9 @@ def solve_rt_direct(center, lead: LeadAttachment, k: float) -> ScatteringSolutio
     are written with f_{-2}, f_{+2} expanded in r and t; no inverse of the
     shifted center matrix is ever formed.
     """
-    hc, n_joint = _center_matrix(center)
-    lead.check_joints(n_joint)
     energy = dispersion(k, lead.kappa)
-    n = hc.shape[0]
+    delta, n_joint = _shifted_center(center, energy, lead)
+    n = delta.shape[0]
     jl = lead.joint_left - 1
     jr = lead.joint_right - 1
     eik = cmath.exp(1j * k)
@@ -206,7 +203,7 @@ def solve_rt_direct(center, lead: LeadAttachment, k: float) -> ScatteringSolutio
 
     m = np.zeros((n + 2, n + 2), dtype=np.complex128)
     rhs = np.zeros(n + 2, dtype=np.complex128)
-    m[:n, :n] = hc - energy * np.eye(n)
+    m[:n, :n] = delta
     # Center rows: D x = g_L (e^{-ik} + r e^{ik}) e_L + g_R (t e^{ik}) e_R.
     m[jl, n] -= lead.g_left * eik
     m[jr, n + 1] -= lead.g_right * eik
@@ -250,11 +247,9 @@ def schrodinger_residual(center, lead: LeadAttachment, solution: ScatteringSolut
     rows, normalized by the natural scale of the system (matrix norm times
     amplitude scale, floored at 1).
     """
-    hc, n_joint = _center_matrix(center)
-    lead.check_joints(n_joint)
-    n = hc.shape[0]
     energy = solution.energy
-    delta = hc - energy * np.eye(n)
+    delta, _ = _shifted_center(center, energy, lead)
+    n = delta.shape[0]
     x = np.concatenate([solution.alpha, solution.beta])
     if x.shape != (n,):
         raise SingularSystem(f"solution has {x.shape[0]} amplitudes, center has {n}")

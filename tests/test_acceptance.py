@@ -15,7 +15,6 @@ import pytest
 from tbscatter import (
     FourSiteParams,
     WavepacketConfig,
-    build_finite_system,
     closed_form_deficit,
     closed_form_rt,
     folded_four_site,
@@ -26,7 +25,6 @@ from tbscatter import (
     transmission_T,
     transmission_Tprime,
 )
-from tbscatter import linalg
 from tbscatter.verify import appendix_suite, conservation_suite, ptfold_suite
 
 SEED = 1
@@ -159,14 +157,12 @@ def test_criterion_7_wavepacket_oracle():
     start = time.perf_counter()
     center, lead = folded_four_site(FourSiteParams(1.0, 1.0))
     n, sigma, k0 = 600, 15.0, math.pi / 3
-    h = build_finite_system(center, lead, n)
     config = WavepacketConfig(
         chain_half_length=n,
         x0=-n / 2.0,
         sigma=sigma,
         k0=k0,
         t_final=(n / 2.0 + 4.5 * sigma) / (2.0 * math.sin(k0)),
-        dt=0.04 / linalg.norm_inf(h),
     )
     result = run_experiment(center, lead, config)
     sol = solve_rt_formula(center, lead, k0)
@@ -174,14 +170,12 @@ def test_criterion_7_wavepacket_oracle():
     reflected_gap = abs(result["p_left"] - abs(sol.r) ** 2)
 
     raw, raw_lead = four_site_center(FourSiteParams(2.0, 0.0))
-    h_raw = build_finite_system(raw, raw_lead, 300)
     gain_config = WavepacketConfig(
         chain_half_length=300,
         x0=-150.0,
         sigma=sigma,
         k0=k0,
         t_final=(150.0 + 4.5 * sigma) / (2.0 * math.sin(k0)),
-        dt=0.04 / linalg.norm_inf(h_raw),
     )
     gain_result = run_experiment(raw, raw_lead, gain_config)
     elapsed = time.perf_counter() - start

@@ -255,3 +255,25 @@ class TestWavepacketCommand:
         lines = csv.read_text().splitlines()
         assert lines[0] == "time,p_left,p_center,p_right,total_norm"
         assert len(lines) > 100
+
+    def test_criterion_7_header_line(self, specs_dir, tmp_path, capsys):
+        # The step comes from run_experiment: 0.04 / norm_inf of the finite system.
+        code = run([
+            "wavepacket", "--spec", str(specs_dir / "four_site_folded.json"),
+            "--k0", repr(math.pi / 3), "--length", "600", "--out", str(tmp_path / "probe.csv"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "spec sha256=5ea46e8372e3bdef  n=600 x0=-300.0 sigma=15.0 k0=1.0471975511965976 "
+            "t_final=212.1762239271875 dt=0.010448154998549657"
+        )
+
+    def test_zero_carrier_momentum_exits_one(self, specs_dir, tmp_path, capsys):
+        code = run([
+            "wavepacket", "--spec", str(specs_dir / "uniform_chain.json"),
+            "--k0", "0", "--out", str(tmp_path / "probe.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidConfig: carrier momentum must lie in (0, pi)\n"
+        )

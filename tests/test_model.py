@@ -97,6 +97,13 @@ class TestAssemble:
         np.testing.assert_array_equal(assemble_delta(c, 0.0), [[0.5]])
         np.testing.assert_array_equal(assemble_delta(c, 2.0), [[-1.5]])
 
+    def test_delta_of_raw_matrix_is_a_shifted_copy(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        before = m.copy()
+        np.testing.assert_array_equal(assemble_delta(m, 0.7), before - 0.7 * np.eye(5))
+        np.testing.assert_array_equal(m, before)
+
     def test_delta_determinant_real(self):
         rng = np.random.default_rng(10)
         c, _ = random_valid_center(rng)
@@ -123,6 +130,13 @@ class TestEffectiveHamiltonian:
 
 
 class TestLeadAttachment:
+    def test_equal_leads_hash_equal(self):
+        a = LeadAttachment(kappa=1, g_left=0.5, g_right=0.5 + 0.1j, joint_left=1, joint_right=3)
+        b = LeadAttachment(kappa=1.0, g_left=0.5 + 0j, g_right=0.5 + 0.1j, joint_left=1,
+                           joint_right=3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, LeadAttachment(1.0, 0.5, 0.5, 1, 3)}) == 2
+
     def test_basic(self):
         lead = LeadAttachment(kappa=1.0, g_left=1j, g_right=2.0, joint_left=1, joint_right=3)
         assert lead.kappa == 1.0

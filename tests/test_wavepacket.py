@@ -190,16 +190,15 @@ class TestScatteringExperiments:
         center, lead = folded_four_site(FourSiteParams(1.0, 1.0))
         n = 600
         v = 2.0 * math.sin(k0)
-        h = build_finite_system(center, lead, n)
         config = WavepacketConfig(
             chain_half_length=n,
             x0=-n / 2.0,
             sigma=15.0,
             k0=k0,
             t_final=(n / 2.0 + 4.5 * 15.0) / v,
-            dt=0.04 / linalg.norm_inf(h),
         )
         result = run_experiment(center, lead, config)
+        assert result["dt"] == 0.04 / linalg.norm_inf(build_finite_system(center, lead, n))
         sol = solve_rt_direct(center, lead, k0)
         assert abs(result["p_right"] - abs(sol.t) ** 2) <= 2e-2
         assert abs(result["p_left"] - abs(sol.r) ** 2) <= 2e-2
@@ -209,14 +208,12 @@ class TestScatteringExperiments:
         raw, lead = four_site_center(FourSiteParams(2.0, 0.0))
         n = 300
         k0 = math.pi / 3
-        h = build_finite_system(raw, lead, n)
         config = WavepacketConfig(
             chain_half_length=n,
             x0=-150.0,
             sigma=15.0,
             k0=k0,
             t_final=(150.0 + 90.0) / (2.0 * math.sin(k0)),
-            dt=0.04 / linalg.norm_inf(h),
         )
         result = run_experiment(raw, lead, config)
         assert result["norm"] > 1.0
@@ -233,7 +230,6 @@ class TestScatteringExperiments:
             sigma=15.0,
             k0=k0,
             t_final=t_final,
-            dt=0.02,
         )
         run_experiment(center, lead, config, probe=lambda *cols: rows.append(cols))
         assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(t_final)
