@@ -188,17 +188,9 @@ def _cmd_wavepacket(args) -> int:
     text = _read_text(args.spec)
     center, lead = parse_network_spec(text)
     n = args.length
-    v = 2.0 * abs(lead.kappa) * math.sin(args.k0)
     x0 = args.x0 if args.x0 is not None else -n / 2.0
-    # Default evolution: packet center 4.5 sigma past the joint. Longer runs
-    # expose physically growing eigenmodes of the finite non-Hermitian
-    # system, which contaminate the asymptotic masses. v = 0 only at k0 = 0,
-    # which WavepacketConfig rejects.
-    t_final = args.t_final
-    if t_final is None:
-        t_final = (abs(x0) + 4.5 * args.sigma) / v if v else math.inf
     config = WavepacketConfig(
-        chain_half_length=n, x0=x0, sigma=args.sigma, k0=args.k0, t_final=t_final,
+        chain_half_length=n, x0=x0, sigma=args.sigma, k0=args.k0, t_final=args.t_final,
     )
     rows = ["time,p_left,p_center,p_right,total_norm"]
 
@@ -208,7 +200,7 @@ def _cmd_wavepacket(args) -> int:
     start = time.perf_counter()
     result = run_experiment(center, lead, config, probe=probe)
     print(f"spec sha256={_digest(text)}  n={n} x0={x0!r} sigma={args.sigma!r} "
-          f"k0={args.k0!r} t_final={t_final!r} dt={result['dt']!r}")
+          f"k0={args.k0!r} t_final={result['t_final']!r} dt={result['dt']!r}")
     Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
     sol = solve_rt_direct(center, lead, args.k0)
     print(f"wrote {len(rows) - 1} probe rows to {args.out} "

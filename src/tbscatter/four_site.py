@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,23 +81,26 @@ def four_site_lead() -> LeadAttachment:
                           joint_left=1, joint_right=3)
 
 
+def _ring(d2: complex, d4: complex) -> np.ndarray:
+    """The ring in the site basis (1, 2, 3, 4) with potentials d2, d4 on sites 2, 4."""
+    return np.array(
+        [
+            [0.0, -KAPPA, 0.0, -KAPPA],
+            [-KAPPA, d2, -KAPPA, 0.0],
+            [0.0, -KAPPA, 0.0, -KAPPA],
+            [-KAPPA, 0.0, -KAPPA, d4],
+        ],
+        dtype=np.complex128,
+    )
+
+
 def four_site_center(params: FourSiteParams) -> tuple[np.ndarray, LeadAttachment]:
     """Raw 4x4 ring matrix in the site basis (1, 2, 3, 4) plus its lead.
 
     Returned raw because for gamma1 != gamma2 no Hermitian-block split
     exists; feed it to the direct solver as-is.
     """
-    g1, g2 = params.gamma1, params.gamma2
-    m = np.array(
-        [
-            [0.0, -KAPPA, 0.0, -KAPPA],
-            [-KAPPA, 1j * g1, -KAPPA, 0.0],
-            [0.0, -KAPPA, 0.0, -KAPPA],
-            [-KAPPA, 0.0, -KAPPA, -1j * g2],
-        ],
-        dtype=np.complex128,
-    )
-    return m, four_site_lead()
+    return _ring(1j * params.gamma1, -1j * params.gamma2), four_site_lead()
 
 
 def fold_basis_matrix() -> np.ndarray:
@@ -142,22 +145,8 @@ def folded_four_site(params: FourSiteParams) -> tuple[ScatteringCenter, LeadAtta
             "gamma1 != gamma2 leaves imaginary on-site terms on the folded "
             "diagonal; no Hermitian-block split exists"
         )
-    gamma = params.gamma1
-    s2k = -np.sqrt(2.0) * KAPPA
-    h_a = np.array(
-        [
-            [0.0, 0.0, s2k],
-            [0.0, 0.0, s2k],
-            [s2k, s2k, 0.0],
-        ],
-        dtype=np.complex128,
-    )
-    h_b = np.zeros((1, 1), dtype=np.complex128)
-    h_ab = np.array([[0.0], [0.0], [1j * gamma]], dtype=np.complex128)
-    center = build_center(h_a, h_b, h_ab)
-    lead = LeadAttachment(kappa=KAPPA, g_left=KAPPA, g_right=KAPPA,
-                          joint_left=1, joint_right=2)
-    return center, lead
+    m = folded_four_site_matrix(params)
+    return build_center(m[:3, :3], m[3:, 3:], m[:3, 3:]), replace(four_site_lead(), joint_right=2)
 
 
 def hermitian_side_coupled_center(gamma: float) -> tuple[ScatteringCenter, LeadAttachment]:
@@ -167,16 +156,7 @@ def hermitian_side_coupled_center(gamma: float) -> tuple[ScatteringCenter, LeadA
     comparison spectrum T'.
     """
     g = float(gamma)
-    h_a = np.array(
-        [
-            [0.0, -KAPPA, 0.0, -KAPPA],
-            [-KAPPA, g, -KAPPA, 0.0],
-            [0.0, -KAPPA, 0.0, -KAPPA],
-            [-KAPPA, 0.0, -KAPPA, -g],
-        ],
-        dtype=np.complex128,
-    )
-    return build_center(h_a), four_site_lead()
+    return build_center(_ring(g, -g)), four_site_lead()
 
 
 def zeta(k: float, params: FourSiteParams) -> complex:
@@ -215,22 +195,22 @@ def closed_form_deficit(k: float, params: FourSiteParams) -> float:
     return 2.0 * z.imag * sk / denom
 
 
-def transmission_T(k: float, gamma: float) -> float:
-    """Balanced-ring transmission probability; T=1 at gamma = 2|cos k|."""
+def _transmission(k: float, shift: float) -> float:
+    """sin^2(2k) / (sin^2(2k) + (cos^2 k + shift)^2)."""
     k = float(k)
     num = math.sin(2.0 * k) ** 2
-    den = num + (math.cos(k) ** 2 - gamma * gamma / 4.0) ** 2
+    den = num + (math.cos(k) ** 2 + shift) ** 2
     if den == 0.0:
         # Total-reflection convention at the isolated 0/0 point.
         return 0.0
     return num / den
 
 
+def transmission_T(k: float, gamma: float) -> float:
+    """Balanced-ring transmission probability; T=1 at gamma = 2|cos k|."""
+    return _transmission(k, -(gamma * gamma / 4.0))
+
+
 def transmission_Tprime(k: float, gamma: float) -> float:
     """Hermitian side-coupled comparison spectrum; strictly below 1 for gamma != 0."""
-    k = float(k)
-    num = math.sin(2.0 * k) ** 2
-    den = num + (math.cos(k) ** 2 + gamma * gamma / 4.0) ** 2
-    if den == 0.0:
-        return 0.0
-    return num / den
+    return _transmission(k, gamma * gamma / 4.0)

@@ -168,11 +168,8 @@ def det(a) -> complex:
 
     Returns 0 for singular input rather than raising.
     """
-    m = as_square_matrix(a)
-    if m.shape[0] == 0:
-        return 1.0 + 0.0j
     try:
-        lu, _, sign = lu_factor(m)
+        lu, _, sign = lu_factor(a)
     except SingularMatrix:
         return 0.0 + 0.0j
     return complex(sign * np.prod(np.diag(lu)))
@@ -180,9 +177,8 @@ def det(a) -> complex:
 
 def inverse(a) -> np.ndarray:
     """Full inverse via the factorization route; raises SingularMatrix."""
-    m = as_square_matrix(a)
-    lu, perm, _ = lu_factor(m)
-    return lu_solve_factored(lu, perm, np.eye(m.shape[0], dtype=np.complex128))
+    lu, perm, _ = lu_factor(a)
+    return lu_solve_factored(lu, perm, np.eye(lu.shape[0], dtype=np.complex128))
 
 
 def _check_indices(n: int, i: int, j: int) -> tuple[int, int]:

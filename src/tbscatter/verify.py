@@ -144,17 +144,17 @@ class _Worst:
         )
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * 0.5 * (g + g.conj().T)
+    return 0.5 * (g + g.conj().T)
 
 
-def _random_nonzero_complex(rng: np.random.Generator, min_abs: float = 0.05) -> complex:
+def _random_nonzero_complex(rng: np.random.Generator) -> complex:
     while True:
         z = complex(rng.standard_normal(), rng.standard_normal())
-        if abs(z) >= min_abs:
+        if abs(z) >= 0.05:
             return z
 
 
@@ -346,8 +346,8 @@ def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
         if rounding > NEAR_SINGULAR_FRACTION * INVERSE_SYMMETRY_TOL:
             near_singular += 1
         else:
-            lu_symmetry.update(float(np.abs(lu - lu.conj().T).max()), where)
-            cof_symmetry.update(float(np.abs(cof - cof.conj().T).max()), where)
+            lu_symmetry.update(linalg.hermiticity_defect(lu), where)
+            cof_symmetry.update(linalg.hermiticity_defect(cof), where)
         gap = np.abs(cof - lu) / np.maximum(np.maximum(np.abs(cof), np.abs(lu)), 1.0)
         route_gap.update(float(gap.max()), where)
         s_a = effective_hamiltonian(center, energy)
@@ -390,9 +390,9 @@ def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
     return report
 
 
-def _random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def _random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n))
-    return scale * 0.5 * (g + g.T)
+    return 0.5 * (g + g.T)
 
 
 def random_pt_spec(rng: np.random.Generator) -> PTGraphSpec:

@@ -50,41 +50,39 @@ __all__ = [
 ]
 
 
+def _check_packet_geometry(n: int, x0: float, sigma: float) -> None:
+    """A packet needs sigma >= 5 sites and 4 sigma to the wall and the center."""
+    if sigma < 5.0:
+        raise InvalidConfig("sigma must be at least 5 sites")
+    if abs(x0) + 4.0 * sigma >= n:
+        raise InvalidConfig("packet must start at least 4 sigma from the wall")
+    if abs(x0) < 4.0 * sigma:
+        raise InvalidConfig("packet must start at least 4 sigma from the center")
+
+
 @dataclass(frozen=True)
 class WavepacketConfig:
-    """Validated geometry and duration of one experiment."""
+    """Validated packet geometry and duration; t_final None takes run_experiment's default."""
 
     chain_half_length: int
     x0: float
     sigma: float
     k0: float
-    t_final: float
+    t_final: float | None = None
 
     def __post_init__(self):
         n = int(self.chain_half_length)
         x0 = float(self.x0)
         sigma = float(self.sigma)
         k0 = float(self.k0)
-        t_final = float(self.t_final)
+        t_final = None if self.t_final is None else float(self.t_final)
         if n < 200:
             raise InvalidConfig("chain_half_length must be at least 200")
-        if sigma < 5.0:
-            raise InvalidConfig("sigma must be at least 5 sites")
-        if abs(x0) + 4.0 * sigma >= n:
-            raise InvalidConfig("packet must start at least 4 sigma from the wall")
-        if abs(x0) < 4.0 * sigma:
-            raise InvalidConfig("packet must start at least 4 sigma from the center")
+        _check_packet_geometry(n, x0, sigma)
         if not (0.0 < k0 < math.pi):
             raise InvalidConfig("carrier momentum must lie in (0, pi)")
-        if t_final <= 0.0:
+        if t_final is not None and t_final <= 0.0:
             raise InvalidConfig("t_final must be positive")
-        # After t_final the packet must have cleared the center without
-        # touching the far wall (velocity 2 kappa sin k0, kappa = 1 scale).
-        x_final = x0 + 2.0 * math.sin(k0) * t_final
-        if not (4.0 * sigma <= x_final <= n - 4.0 * sigma):
-            raise InvalidConfig(
-                f"final packet position {x_final:.1f} not clear of center and wall"
-            )
         object.__setattr__(self, "chain_half_length", n)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "sigma", sigma)
@@ -101,15 +99,11 @@ def build_finite_system(center, lead: LeadAttachment, n: int) -> np.ndarray:
         raise DimensionMismatch("each lead needs at least one site")
     dim = 2 * n + nc
     m = np.zeros((dim, dim), dtype=np.complex128)
-    kappa = lead.kappa
-    for i in range(n - 1):
-        m[i, i + 1] = -kappa
-        m[i + 1, i] = -kappa
     m[n : n + nc, n : n + nc] = hc
     right0 = n + nc
-    for i in range(right0, dim - 1):
-        m[i, i + 1] = -kappa
-        m[i + 1, i] = -kappa
+    for first in (0, right0):  # the n - 1 bonds of each lead
+        i = np.arange(first, first + n - 1)
+        m[i, i + 1] = m[i + 1, i] = -lead.kappa
     jl = n + lead.joint_left - 1
     jr = n + lead.joint_right - 1
     m[jl, n - 1] = -lead.g_left
@@ -129,14 +123,7 @@ def gaussian_packet(n: int, n_center: int, x0: float, sigma: float, k0: float) -
     n_center = int(n_center)
     x0 = float(x0)
     sigma = float(sigma)
-    if sigma < 5.0:
-        raise InvalidConfig("sigma must be at least 5 sites")
-    if x0 == 0.0:
-        raise InvalidConfig("x0 must lie on a lead (nonzero)")
-    if abs(x0) + 4.0 * sigma >= n:
-        raise InvalidConfig("packet must start at least 4 sigma from the wall")
-    if abs(x0) < 4.0 * sigma:
-        raise InvalidConfig("packet must start at least 4 sigma from the center")
+    _check_packet_geometry(n, x0, sigma)
     psi = np.zeros(2 * n + n_center, dtype=np.complex128)
     if x0 < 0:
         coords = np.arange(-n, 0, dtype=np.float64)
@@ -170,7 +157,9 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
     is called at t=0, after every step, and at t_final. Raises StepTooLarge
     when dt exceeds DT_MAX_FACTOR / norm_inf(H).
     """
-    h = linalg.as_square_matrix(h)
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     if psi.shape != (h.shape[0],):
         raise DimensionMismatch(f"state length {psi.shape} does not match {h.shape}")
@@ -178,10 +167,14 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
     dt = float(dt)
     if t_final < 0 or dt <= 0:
         raise ValueError("t_final must be >= 0 and dt > 0")
-    scale = linalg.norm_inf(h)
+    # The dense H is read once, into CSR; its checks run on the nonzeros.
+    h_csr = sparse.csr_matrix(h)
+    if not np.isfinite(h_csr.data).all():
+        raise ValueError("matrix entries must be finite")
+    scale = float((abs(h_csr) @ np.ones(h.shape[1])).max(initial=0.0))
     if scale > 0 and dt > DT_MAX_FACTOR / scale:
         raise StepTooLarge(f"dt={dt} exceeds {DT_MAX_FACTOR / scale:.3e} for this matrix")
-    a = sparse.csr_matrix(h) * -1j
+    a = h_csr * -1j
     full_step = _rk4_propagator(a, dt)
     t = 0.0
     if probe is not None:
@@ -212,11 +205,24 @@ def measure_partition(psi, boundaries: tuple[int, int]) -> tuple[float, float, f
 def run_experiment(center, lead: LeadAttachment, config: WavepacketConfig, probe=None) -> dict:
     """Build, launch, evolve, and measure one scattering experiment.
 
-    The step is dt = 0.04 / norm_inf(H) for the finite system H. Returns
-    final left/center/right masses, the total norm, the system boundaries and
-    dt. ``probe(t, p_left, p_center, p_right, norm)`` is called per step when
-    given.
+    The packet moves at v = 2 kappa sin k0, so kappa must be positive. When
+    ``config.t_final`` is None the run stops with the packet center 4.5 sigma
+    past the joint, at (|x0| + 4.5 sigma) / v: later, growing eigenmodes of
+    the finite non-Hermitian system contaminate the masses. The step is
+    dt = 0.04 / norm_inf(H) for the finite system H. Returns final
+    left/center/right masses, the total norm, the system boundaries, dt and
+    t_final. ``probe(t, p_left, p_center, p_right, norm)`` is called per step
+    when given.
     """
+    if lead.kappa <= 0.0:
+        raise InvalidConfig(f"the packet needs kappa > 0 to reach the center, got {lead.kappa!r}")
+    v = 2.0 * lead.kappa * math.sin(config.k0)
+    t_final = config.t_final
+    if t_final is None:
+        t_final = (abs(config.x0) + 4.5 * config.sigma) / v
+    x_final = config.x0 + v * t_final
+    if not (4.0 * config.sigma <= x_final <= config.chain_half_length - 4.0 * config.sigma):
+        raise InvalidConfig(f"final packet position {x_final:.1f} not clear of center and wall")
     h = build_finite_system(center, lead, config.chain_half_length)
     dt = _DT_FACTOR / linalg.norm_inf(h)
     nc = h.shape[0] - 2 * config.chain_half_length
@@ -229,7 +235,7 @@ def run_experiment(center, lead: LeadAttachment, config: WavepacketConfig, probe
             p_l, p_c, p_r = measure_partition(psi, boundaries)
             probe(t, p_l, p_c, p_r, p_l + p_c + p_r)
 
-    psi = evolve(h, psi0, config.t_final, dt, probe=callback)
+    psi = evolve(h, psi0, t_final, dt, probe=callback)
     p_left, p_center, p_right = measure_partition(psi, boundaries)
     return {
         "p_left": p_left,
@@ -238,4 +244,5 @@ def run_experiment(center, lead: LeadAttachment, config: WavepacketConfig, probe
         "norm": p_left + p_center + p_right,
         "boundaries": boundaries,
         "dt": dt,
+        "t_final": t_final,
     }

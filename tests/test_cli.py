@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -267,6 +268,41 @@ class TestWavepacketCommand:
             "spec sha256=5ea46e8372e3bdef  n=600 x0=-300.0 sigma=15.0 k0=1.0471975511965976 "
             "t_final=212.1762239271875 dt=0.010448154998549657"
         )
+
+    @staticmethod
+    def uniform_chain_with_kappa(specs_dir, tmp_path, kappa: float) -> Path:
+        doc = json.loads((specs_dir / "uniform_chain.json").read_text(encoding="utf-8"))
+        doc["kappa"] = kappa
+        spec = tmp_path / "chain.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        return spec
+
+    @pytest.mark.parametrize("kappa,k0", [(0.25, 1.0), (2.0, 1.5)])
+    def test_default_stop_follows_the_lead_velocity(self, specs_dir, tmp_path, capsys, kappa, k0):
+        # The packet moves at 2 kappa sin k0, so the default stop depends on kappa.
+        spec = self.uniform_chain_with_kappa(specs_dir, tmp_path, kappa)
+        code = run([
+            "wavepacket", "--spec", str(spec), "--k0", repr(k0), "--length", "200",
+            "--out", str(tmp_path / "probe.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        out = captured.out
+        reflection = extract(r"plane-wave R = ([0-9.e+-]+)", out)
+        transmission = extract(r"plane-wave T = ([0-9.e+-]+)", out)
+        assert extract(r"final p_left = ([0-9.e+-]+)", out) == pytest.approx(reflection, abs=2e-2)
+        assert extract(r"final p_right = ([0-9.e+-]+)", out) == pytest.approx(transmission, abs=2e-2)
+
+    def test_negative_kappa_exits_one(self, specs_dir, tmp_path, capsys):
+        # exp(i k0 x) then moves away from the center.
+        spec = self.uniform_chain_with_kappa(specs_dir, tmp_path, -1.0)
+        code = run([
+            "wavepacket", "--spec", str(spec), "--k0", "1.0", "--length", "200",
+            "--out", str(tmp_path / "probe.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfig:") and "kappa" in err
 
     def test_zero_carrier_momentum_exits_one(self, specs_dir, tmp_path, capsys):
         code = run([

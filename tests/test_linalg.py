@@ -114,6 +114,9 @@ class TestDet:
     def test_diagonal(self):
         assert linalg.det(np.diag([2.0, 3.0j])) == pytest.approx(6.0j)
 
+    def test_empty_is_one(self):
+        assert linalg.det(np.zeros((0, 0))) == 1.0
+
     def test_delta_determinant_is_real(self):
         rng = np.random.default_rng(31)
         a = random_delta_like(rng, 3, 2, energy=0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tbscatter import (
+    DimensionMismatch,
     FourSiteParams,
     InvalidConfig,
     LeadAttachment,
@@ -117,6 +118,19 @@ class TestEvolve:
         psi0 = gaussian_packet(149, 2, -75.0, 15.0, 1.2)
         psi = evolve(h, psi0, 50.0, 0.01)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "h,error",
+        [
+            (np.zeros((2, 3)), DimensionMismatch),
+            (np.zeros(2), DimensionMismatch),
+            (np.array([[0.0, np.nan], [np.nan, 0.0]]), ValueError),
+            (np.array([[np.inf, 0.0], [0.0, 0.0]]), ValueError),
+        ],
+    )
+    def test_rejects_malformed_hamiltonian(self, h, error):
+        with pytest.raises(error):
+            evolve(h, np.ones(2, dtype=complex), 1.0, 0.01)
 
     def test_step_too_large(self):
         with pytest.raises(StepTooLarge):
