@@ -25,7 +25,6 @@ from .errors import (
     SingularDelta,
     SingularMatrix,
     SingularSystem,
-    StepTooLarge,
     ZetaPole,
 )
 from .model import (

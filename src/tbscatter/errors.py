@@ -72,7 +72,3 @@ class JointOutsideAxis(ScatterError):
 
 class InvalidConfig(ScatterError):
     """A wavepacket configuration violates its geometric invariants."""
-
-
-class StepTooLarge(ScatterError):
-    """Integrator step exceeds the stability bound for this Hamiltonian."""

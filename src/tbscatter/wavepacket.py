@@ -13,11 +13,12 @@ Geometry of the finite system, dimension 2 n + n_center:
     index n+n_center ..       right lead, lattice coordinates +1 .. +n
 
 Lead bonds are -kappa; the joints couple with -g_L, -g_R exactly as in the
-infinite model. Integration is classical fixed-step RK4 on i dpsi/dt = H psi.
-Because H does not depend on time, one RK4 step of size s is exactly
-psi <- R(-i s H) psi with the method's stability polynomial
-R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so that polynomial is built once as a
-sparse propagator and each step is one sparse matvec.
+infinite model. Because H does not depend on time, i dpsi/dt = H psi is
+solved exactly by psi(t) = exp(-i t H) psi(0). Each output interval applies
+that exponential with a truncated Taylor series and scaling on sparse
+matvecs (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Algorithm
+3.2), to a backward error of 2^-53 in exact arithmetic. The series needs
+only products with H, so it serves non-Hermitian centers as well.
 """
 
 from __future__ import annotations
@@ -28,19 +29,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from . import linalg
-from .errors import DimensionMismatch, InvalidConfig, StepTooLarge
+from .errors import DimensionMismatch, InvalidConfig
 from .model import LeadAttachment, _shifted_center
 
-# Stability/accuracy bound for the RK4 step relative to the matrix scale.
-DT_MAX_FACTOR = 0.05
-# run_experiment's step is dt = _DT_FACTOR / norm_inf(H). It sits a fifth
-# below the bound, so evolve never rejects it, and RK4's local error, of order
-# (dt norm_inf(H))^5 / 120, stays near 1e-9 per step.
-_DT_FACTOR = 0.04
+# run_experiment probes the packet at t_final / _PROBE_INTERVALS spacing.
+_PROBE_INTERVALS = 200
+# Target backward error of each Taylor evaluation: the unit roundoff.
+_TAYLOR_TOL = 2.0**-53
+# theta_m for _TAYLOR_TOL (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from
+# Higham, Functions of Matrices, Table A.3): the degree-m Taylor polynomial
+# of exp(X) meets the tolerance whenever ||X||_1 <= theta_m.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 __all__ = [
-    "DT_MAX_FACTOR",
     "WavepacketConfig",
     "build_finite_system",
     "gaussian_packet",
@@ -137,25 +146,39 @@ def gaussian_packet(n: int, n_center: int, x0: float, sigma: float, k0: float) -
     return psi
 
 
-def _rk4_propagator(a, step: float):
-    """R(step * a) in Horner form, as a sparse matrix: one classical RK4
-    step of dpsi/dt = a psi."""
-    b = a * step
-    eye = sparse.identity(a.shape[0], dtype=np.complex128, format="csr")
-    p = eye + b / 4.0
-    for divisor in (3.0, 2.0, 1.0):
-        p = eye + (b @ p) / divisor
-    return p
+def _expm_multiply(a, psi, t: float, norm1: float) -> np.ndarray:
+    """exp(t a) psi for a sparse ``a`` with ||a||_1 = norm1 (Al-Mohy & Higham
+    2011, Algorithm 3.2 without the shift): s substeps of the degree-m Taylor
+    series, each cut off once two successive terms fall below
+    _TAYLOR_TOL * ||F||_inf."""
+    f = psi.copy()
+    if t * norm1 == 0.0:
+        return f
+    # The fewest matvecs m * s with ||t a||_1 / s <= theta_m.
+    m, s = min(((m, math.ceil(t * norm1 / theta)) for m, theta in _THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+    for _ in range(s):
+        term = f
+        c1 = np.abs(term).max()
+        for k in range(1, m + 1):
+            term = (a @ term) * (t / (s * k))
+            c2 = np.abs(term).max()
+            f += term
+            if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
+                break
+            c1 = c2
+    return f
 
 
 def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
-    """Fixed-step RK4 integration of i dpsi/dt = H psi.
+    """psi(t_final) = exp(-i t_final H) psi0, the solution of i dpsi/dt = H psi.
 
-    Each step applies the RK4 stability polynomial of -i step H, precomputed
-    as a sparse propagator: one for dt and, when t_final is not a multiple
-    of dt, one for the trailing partial step. ``probe(t, psi)``, when given,
-    is called at t=0, after every step, and at t_final. Raises StepTooLarge
-    when dt exceeds DT_MAX_FACTOR / norm_inf(H).
+    ``dt`` is the output interval, not an integrator step: each interval is
+    one truncated-Taylor evaluation of exp(-i dt H) psi on the CSR form of H,
+    accurate to a backward error of 2^-53 (the unit roundoff) in exact
+    arithmetic, whatever dt * norm(H). ``probe(t, psi)``, when given, is
+    called at t=0, after every dt, and at t_final; when t_final is not a
+    multiple of dt, the last interval is shorter.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -171,22 +194,18 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
     h_csr = sparse.csr_matrix(h)
     if not np.isfinite(h_csr.data).all():
         raise ValueError("matrix entries must be finite")
-    scale = float((abs(h_csr) @ np.ones(h.shape[1])).max(initial=0.0))
-    if scale > 0 and dt > DT_MAX_FACTOR / scale:
-        raise StepTooLarge(f"dt={dt} exceeds {DT_MAX_FACTOR / scale:.3e} for this matrix")
     a = h_csr * -1j
-    full_step = _rk4_propagator(a, dt)
+    norm1 = float((np.ones(h.shape[0]) @ abs(a)).max(initial=0.0))
+    # A remainder below 1e-9 dt is rounding in t_final / dt, not an interval
+    # of its own: it joins the last interval.
+    intervals = max(1, math.ceil(t_final / dt - 1e-9)) if t_final > 0 else 0
     t = 0.0
     if probe is not None:
         probe(t, psi)
-    remaining = t_final
-    while remaining > 1e-15:
-        step = min(dt, remaining)
-        # Only the last step can be shorter than dt, so its propagator is
-        # built at most once.
-        psi = (full_step if step == dt else _rk4_propagator(a, step)) @ psi
-        remaining -= step
-        t = t_final - remaining
+    for i in range(1, intervals + 1):
+        t_next = t_final if i == intervals else i * dt
+        psi = _expm_multiply(a, psi, t_next - t, norm1)
+        t = t_next
         if probe is not None:
             probe(t, psi)
     return psi
@@ -205,17 +224,21 @@ def measure_partition(psi, boundaries: tuple[int, int]) -> tuple[float, float, f
 def run_experiment(center, lead: LeadAttachment, config: WavepacketConfig, probe=None) -> dict:
     """Build, launch, evolve, and measure one scattering experiment.
 
-    The packet moves at v = 2 kappa sin k0, so kappa must be positive. When
+    The packet moves at v = 2 kappa sin k0, so it reaches the center only
+    when kappa > 0 and it starts on the left lead (x0 < 0). When
     ``config.t_final`` is None the run stops with the packet center 4.5 sigma
     past the joint, at (|x0| + 4.5 sigma) / v: later, growing eigenmodes of
-    the finite non-Hermitian system contaminate the masses. The step is
-    dt = 0.04 / norm_inf(H) for the finite system H. Returns final
+    the finite non-Hermitian system contaminate the masses. ``evolve``
+    applies exp(-i t H) of the finite system H, to a backward error of 2^-53
+    per interval, over dt = t_final / 200 output intervals. Returns final
     left/center/right masses, the total norm, the system boundaries, dt and
-    t_final. ``probe(t, p_left, p_center, p_right, norm)`` is called per step
-    when given.
+    t_final. ``probe(t, p_left, p_center, p_right, norm)`` is called at t = 0
+    and after every interval when given.
     """
     if lead.kappa <= 0.0:
         raise InvalidConfig(f"the packet needs kappa > 0 to reach the center, got {lead.kappa!r}")
+    if config.x0 >= 0.0:
+        raise InvalidConfig(f"the packet must start on the left lead (x0 < 0), got x0={config.x0!r}")
     v = 2.0 * lead.kappa * math.sin(config.k0)
     t_final = config.t_final
     if t_final is None:
@@ -224,7 +247,7 @@ def run_experiment(center, lead: LeadAttachment, config: WavepacketConfig, probe
     if not (4.0 * config.sigma <= x_final <= config.chain_half_length - 4.0 * config.sigma):
         raise InvalidConfig(f"final packet position {x_final:.1f} not clear of center and wall")
     h = build_finite_system(center, lead, config.chain_half_length)
-    dt = _DT_FACTOR / linalg.norm_inf(h)
+    dt = t_final / _PROBE_INTERVALS
     nc = h.shape[0] - 2 * config.chain_half_length
     psi0 = gaussian_packet(config.chain_half_length, nc, config.x0, config.sigma, config.k0)
     boundaries = (config.chain_half_length, config.chain_half_length + nc)

@@ -116,20 +116,24 @@ class TestSpectrum:
             assert len(outputs[0].splitlines()) == 7
 
 
-def test_verify_and_spectrum_do_not_import_scipy_linalg(tmp_path):
-    # scipy.linalg adds about 8 MB resident; the dense kernel is numpy only.
+def test_verify_and_spectrum_do_not_import_scipy_linalg(specs_dir, tmp_path):
+    # scipy.linalg adds about 8 MB resident; the dense kernel and the
+    # wavepacket propagator are numpy and scipy.sparse only.
     spec = tmp_path / "center.json"
     write_random_spec(spec, 40, 8, seed=3)
     spectrum = ["spectrum", "--spec", str(spec), "--k-min", "0.2", "--k-max", "2.9",
                 "--steps", "3", "--out", str(tmp_path / "out.csv")]
+    wavepacket = ["wavepacket", "--spec", str(specs_dir / "uniform_chain.json"), "--k0", "1.0",
+                  "--length", "200", "--out", str(tmp_path / "probe.csv")]
     out = run_fresh(
         "import sys\n"
         "from tbscatter.cli import run\n"
         "assert run(['verify', '--trials', '3', '--seed', '1', '--suite', 'all']) == 0\n"
         f"assert run({spectrum!r}) == 0\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        f"assert run({wavepacket!r}) == 0\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))\n"
     )
-    assert out.splitlines()[-1] == "False"
+    assert out.splitlines()[-1] == "[]"
 
 
 class TestVerifyCommand:
@@ -258,7 +262,7 @@ class TestWavepacketCommand:
         assert len(lines) > 100
 
     def test_criterion_7_header_line(self, specs_dir, tmp_path, capsys):
-        # The step comes from run_experiment: 0.04 / norm_inf of the finite system.
+        # The probe interval comes from run_experiment: t_final / 200.
         code = run([
             "wavepacket", "--spec", str(specs_dir / "four_site_folded.json"),
             "--k0", repr(math.pi / 3), "--length", "600", "--out", str(tmp_path / "probe.csv"),
@@ -266,7 +270,7 @@ class TestWavepacketCommand:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == (
             "spec sha256=5ea46e8372e3bdef  n=600 x0=-300.0 sigma=15.0 k0=1.0471975511965976 "
-            "t_final=212.1762239271875 dt=0.010448154998549657"
+            "t_final=212.1762239271875 dt=1.0608811196359376"
         )
 
     @staticmethod
@@ -303,6 +307,16 @@ class TestWavepacketCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidConfig:") and "kappa" in err
+
+    def test_right_lead_launch_exits_one(self, specs_dir, tmp_path, capsys):
+        # exp(i k0 x) moves right, so a packet at x0 > 0 never meets the center.
+        code = run([
+            "wavepacket", "--spec", str(specs_dir / "uniform_chain.json"), "--k0", "1.0",
+            "--length", "300", "--x0", "80", "--out", str(tmp_path / "probe.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfig:") and "x0" in err
 
     def test_zero_carrier_momentum_exits_one(self, specs_dir, tmp_path, capsys):
         code = run([
