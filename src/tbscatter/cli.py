@@ -87,7 +87,8 @@ def _cmd_spectrum(args) -> int:
     _write_spectrum_csv(args.out, result)
     flagged = sum(1 for p in result.entries if p.status != "ok")
     print(f"spec sha256={_digest(text)}  wrote {len(result.entries)} points to {args.out}"
-          f" ({flagged} flagged)")
+          f" ({flagged} flagged; min pivot ratio {result.min_pivot_ratio:.3e},"
+          f" min |eta| {result.min_abs_eta:.3e}, {result.reference_points} by reference routes)")
     return 0
 
 

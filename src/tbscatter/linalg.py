@@ -4,6 +4,9 @@ The LU is recursive on columns with partial pivoting: narrow panels are
 factored column by column and everything else is matrix products, so the
 kernel runs on numpy alone at close to BLAS speed for large matrices.
 
+``hessenberg`` reduces a matrix once to upper Hessenberg form, A = Q H Q*,
+so that a shifted system H - E costs O(n^2) per energy instead of O(n^3).
+
 Matrices are plain numpy arrays of complex128. Two independent routes to the
 elements of an inverse are provided: the factorization route (``inverse``) and
 the cofactor/minor route (``inverse_element_cofactor``). Verification code
@@ -36,6 +39,7 @@ __all__ = [
     "inverse",
     "minor_det",
     "inverse_element_cofactor",
+    "hessenberg",
     "hermiticity_defect",
 ]
 
@@ -216,6 +220,43 @@ def inverse_element_cofactor(a, i: int, j: int, det_a: complex | None = None) ->
         return 1.0 / complex(m[0, 0])
     sign = -1.0 if (i + j) % 2 else 1.0
     return sign * minor_det(m, j, i) / d
+
+
+def hessenberg(a, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Upper Hessenberg form by Householder reflections: ``a = Q H Q*``.
+
+    Returns ``H``, with exact zeros below the subdiagonal, and the rows
+    ``rows`` (0-based) of the unitary ``Q``, accumulated one reflection at a
+    time without forming Q (Golub & Van Loan, Matrix Computations, 7.4.2).
+    A column already zero below the subdiagonal is skipped (its reflection
+    is the identity).
+    """
+    h = as_square_matrix(a).copy()
+    n = h.shape[0]
+    q = np.zeros((len(rows), n), dtype=np.complex128)
+    q[np.arange(len(rows)), list(rows)] = 1.0
+    for col in range(n - 2):
+        x = h[col + 1 :, col]
+        if not np.any(x[1:]):
+            continue
+        norm = float(np.linalg.norm(x))
+        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
+        alpha = -phase * norm
+        v = x.copy()
+        v[0] -= alpha
+        v /= np.linalg.norm(v)
+        w = 2.0 * v
+        vh = v.conj()
+        # H <- P H P with P = I - 2 v v*, acting on rows and columns col+1:.
+        block = h[col + 1 :, col + 1 :]
+        block -= w[:, None] * (vh @ block)
+        right = h[:, col + 1 :]
+        right -= (right @ v)[:, None] * (2.0 * vh)
+        h[col + 1, col] = alpha
+        h[col + 2 :, col] = 0.0
+        tail = q[:, col + 1 :]
+        tail -= (tail @ v)[:, None] * (2.0 * vh)
+    return h, q
 
 
 def hermiticity_defect(a) -> float:

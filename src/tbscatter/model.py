@@ -168,8 +168,8 @@ def assemble_full_center_matrix(center: ScatteringCenter) -> np.ndarray:
     return m
 
 
-def _shifted_center(center, energy: float, lead: LeadAttachment | None = None):
-    """D = H_C - ``energy`` as a new array, and the size of the joint-bearing block.
+def _center_matrix(center, lead: LeadAttachment | None = None):
+    """H_C and the size of the joint-bearing block.
 
     ``center`` is a ScatteringCenter, whose joints must lie in cluster A, or a
     raw square matrix, where every site is available. When ``lead`` is given
@@ -182,6 +182,12 @@ def _shifted_center(center, energy: float, lead: LeadAttachment | None = None):
         n_joint = hc.shape[0]
     if lead is not None:
         lead.check_joints(n_joint)
+    return hc, n_joint
+
+
+def _shifted_center(center, energy: float, lead: LeadAttachment | None = None):
+    """D = H_C - ``energy`` as a new array, and the size of the joint-bearing block."""
+    hc, n_joint = _center_matrix(center, lead)
     return hc - float(energy) * np.eye(hc.shape[0]), n_joint
 
 

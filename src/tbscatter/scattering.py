@@ -48,10 +48,19 @@ from .errors import (
     SingularMatrix,
     SingularSystem,
 )
-from .model import LeadAttachment, _shifted_center
+from .model import LeadAttachment, _center_matrix, _shifted_center
 
 SIN_K_MIN = 1e-8
 ETA_MIN = 1e-12
+
+# Momenta the sweep kernel eliminates together: each column is one Python
+# step for the whole batch, and its two buffers take about 1 MB each at 256
+# sites whatever the number of steps.
+_BATCH = 64
+# A kernel point whose smallest pivot ratio lies below _HANDOFF * PIVOT_RTOL,
+# or whose |eta| below _HANDOFF * ETA_MIN, is recomputed by the reference
+# routes, which decide its status.
+_HANDOFF = 1e4
 
 __all__ = [
     "SIN_K_MIN",
@@ -116,7 +125,14 @@ class SpectrumPoint:
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """The sweep's points and how close its kernel came to each threshold:
+    the smallest pivot ratio, the smallest |eta|, and the number of points
+    recomputed by the reference routes."""
+
     entries: list[SpectrumPoint]
+    min_pivot_ratio: float
+    min_abs_eta: float
+    reference_points: int
 
 
 def _delta_lu(center, lead: LeadAttachment, k: float):
@@ -268,14 +284,196 @@ def schrodinger_residual(center, lead: LeadAttachment, solution: ScatteringSolut
     return max(res, res_left, res_right) / scale
 
 
+class _CenterKernel:
+    """One center and lead, reduced once to Hessenberg form for many energies.
+
+    H_C = Q H Q* (``linalg.hessenberg``), keeping only the joint rows q_L and
+    q_R of Q. At each energy the direct route's augmented system becomes, in
+    the basis Q* x,
+
+        [[H - E, -g_L q_L*, -g_R q_R*], [-conj(g_L) q_L, c, 0],
+         [-conj(g_R) q_R, 0, c]] (y, r', t') = (g_L q_L*, E + kappa e^{-ik}, 0)
+
+    with c = -(kappa e^{ik} + E), y = e^{ik} Q* x and (r', t') = e^{2ik}
+    (r, t): unit phases on the unknowns and the right-hand side keep H's
+    rows free of k, and leave every pivot's magnitude as it is. The joint
+    block of inv(D) is -1 times the Schur complement of H - E in
+    [[H - E, [q_L*, q_R*]], [[q_L; q_R], 0]]. Each is one forward
+    elimination of Hessenberg rows plus two border rows, O(n^2) per energy.
+    """
+
+    def __init__(self, center, lead: LeadAttachment):
+        hc, _ = _center_matrix(center, lead)
+        jl, jr = lead.joint_left - 1, lead.joint_right - 1
+        h, q = linalg.hessenberg(hc, (jl, jr))
+        n = h.shape[0]
+        self.n = n
+        self.lead = lead
+        self.q = q
+        qbar = q.conj().T
+        self.diag = hc.diagonal().copy()
+        self.offdiag = np.abs(hc).sum(axis=1) - np.abs(self.diag)
+        # |entries| the lead columns add to the joint rows of the augmented system
+        self.joint_coupling = np.zeros(n)
+        self.joint_coupling[jl] = abs(lead.g_left)
+        self.joint_coupling[jr] = abs(lead.g_right)
+        self.values_rows = np.concatenate(
+            [h, -lead.g_left * qbar[:, :1], -lead.g_right * qbar[:, 1:], lead.g_left * qbar[:, :1]],
+            axis=1,
+        )
+        self.status_rows = np.concatenate([h, qbar], axis=1)
+
+    def solve(self, ks: np.ndarray, energies: np.ndarray):
+        """r, t, the smallest pivot ratio and |eta| at each momentum.
+
+        A ratio is |pivot| over norm_inf of the original-basis matrix it
+        belongs to, the augmented system or D; the smaller of the two is
+        returned. Where the elimination broke down (a non-finite result) the
+        ratio and |eta| read 0.
+        """
+        r, t = np.empty(len(ks), dtype=np.complex128), np.empty(len(ks), dtype=np.complex128)
+        ratio, eta = np.empty(len(ks)), np.empty(len(ks))
+        with np.errstate(all="ignore"):
+            for lo in range(0, len(ks), _BATCH):
+                sl = slice(lo, lo + _BATCH)
+                r[sl], t[sl], ratio[sl], eta[sl] = self._batch(ks[sl], energies[sl])
+        ratio[~np.isfinite(ratio)] = 0.0
+        eta[~np.isfinite(eta)] = 0.0
+        return r, t, ratio, eta
+
+    def _batch(self, ks, energies):
+        n, lead = self.n, self.lead
+        kappa, g_l, g_r = lead.kappa, lead.g_left, lead.g_right
+        eik = np.exp(1j * ks)
+        shift = np.abs(self.diag - energies[:, None])
+        norm_d = (self.offdiag + shift).max(axis=1)
+        coeff = -(kappa * eik + energies)
+        norm_m = np.maximum((self.offdiag + shift + self.joint_coupling).max(axis=1),
+                            max(abs(g_l), abs(g_r)) + np.abs(coeff))
+
+        lead_rows = np.zeros((n + 3, 2, len(ks)), dtype=np.complex128)
+        lead_rows[:n, 0] = -g_l.conjugate() * self.q[0, :, None]
+        lead_rows[:n, 1] = -g_r.conjugate() * self.q[1, :, None]
+        lead_rows[n, 0] = coeff
+        lead_rows[n + 1, 1] = coeff
+        lead_rows[n + 2, 0] = energies + kappa / eik
+        ((a0, a1), (b0, b1), (c0, c1)), piv = self._eliminate(
+            self.values_rows, lead_rows, energies, 4)
+        swap = np.abs(a1) > np.abs(a0)
+        a0, a1 = np.where(swap, a1, a0), np.where(swap, a0, a1)
+        b0, b1 = np.where(swap, b1, b0), np.where(swap, b0, b1)
+        c0, c1 = np.where(swap, c1, c0), np.where(swap, c0, c1)
+        m = a1 / a0
+        p2 = b1 - m * b0
+        t2 = (c1 - m * c0) / p2
+        r2 = (c0 - b0 * t2) / a0
+        piv = np.minimum(piv, np.minimum(np.abs(a0), np.abs(p2)))
+        phase = eik * eik
+        r, t = r2 / phase, t2 / phase
+        ratio = piv / norm_m
+
+        border_rows = np.zeros((n + 2, 2, len(ks)), dtype=np.complex128)
+        border_rows[:n] = self.q.T[:, :, None]
+        ((g_ll, g_rl), (g_lr, g_rr)), piv = self._eliminate(
+            self.status_rows, border_rows, energies, 2)
+        ratio = np.minimum(ratio, piv / norm_d)
+        a = -g_ll * abs(g_l) ** 2 / kappa
+        c = -g_rr * abs(g_r) ** 2 / kappa
+        b = -g_lr * g_l.conjugate() * g_r / kappa
+        bt = -g_rl * g_l * g_r.conjugate() / kappa
+        eta = (b * bt - a * c) * phase + (a + c) * eik - 1.0
+        return r, t, ratio, np.abs(eta)
+
+    def _eliminate(self, rows, border, energies, pivot_slots):
+        """Forward elimination of the rows of H - E (``rows`` with the energy
+        subtracted on H's diagonal) together with the two ``border`` rows.
+
+        The buffer is (column, row slot, energy), so the columns still live
+        form one contiguous block. Four rows are live at each column: the two
+        candidate Hessenberg rows and the two border rows. The pivot is the
+        largest of the first ``pivot_slots`` (4: partial pivoting on the
+        whole system; 2: on H - E alone, with the border rows eliminated
+        alongside), and the next Hessenberg row takes the pivot's slot.
+        Returns the two surviving rows' entries past column n, as
+        (column, row, energy), and the smallest pivot magnitude per energy.
+        """
+        n = self.n
+        width = rows.shape[1]
+        b = len(energies)
+        at = np.arange(b)
+        buf = np.empty((width, 4, b), dtype=np.complex128)
+        tmp = np.empty_like(buf)
+        buf[:, 0] = rows[0, :, None]
+        buf[0, 0] -= energies
+        if n > 1:
+            buf[:, 1] = rows[1, :, None]
+            buf[1, 1] -= energies
+        else:
+            buf[:, 1] = 0.0
+            dead = np.ones(b, dtype=np.intp)
+        buf[:, 2:] = border
+        smallest = np.full(b, np.inf)
+        for j in range(n):
+            col = buf[j]
+            mag = np.abs(col[:pivot_slots])
+            if j == n - 1:
+                mag[dead, at] = -1.0
+            p = mag.argmax(axis=0)
+            np.minimum(smallest, mag[p, at], out=smallest)
+            mult = col / col[p, at]
+            mult[p, at] = 0.0
+            live = tmp[j + 1:]
+            np.multiply(buf[j + 1:, p, at][:, None, :], mult, out=live)
+            buf[j + 1:] -= live
+            if j + 2 < n:
+                buf[j + 1:, p, at] = rows[j + 2, j + 1:, None]
+                buf[j + 2, p, at] -= energies
+            elif j + 2 == n:
+                buf[:, p, at] = 0.0
+                dead = p
+        done = np.zeros((4, b), dtype=bool)
+        done[dead, at] = True
+        done[p, at] = True
+        survivors = np.argsort(done, axis=0, kind="stable")[:2]
+        return buf[n:, survivors, at], smallest
+
+
+def _reference_point(center, lead: LeadAttachment, k: float) -> SpectrumPoint:
+    """One sweep point by the two reference routes, each with its own LU."""
+    try:
+        sol = solve_rt_direct(center, lead, k)
+    except SingularSystem:
+        return SpectrumPoint(k=k, transmission=math.nan, reflection=math.nan,
+                             deficit=math.nan, status="singular")
+    status = "ok"
+    try:
+        abc = coefficients_abc(center, lead, k)
+        if abs(abc.eta) <= ETA_MIN:
+            status = "pole"
+    except SingularDelta:
+        status = "pole"
+    return SpectrumPoint(k=k, transmission=abs(sol.t) ** 2, reflection=abs(sol.r) ** 2,
+                         deficit=sol.deficit, status=status)
+
+
 def spectrum(center, lead: LeadAttachment, k_min: float, k_max: float, steps: int) -> SpectrumResult:
     """Uniform momentum sweep.
 
-    Values come from ``solve_rt_direct``. Status marks points where the
-    two-path cross-check is unavailable: 'singular' when the augmented system
-    is singular (values NaN), 'pole' when the direct solve succeeded but the
-    formula path has no answer there (eta below threshold or singular shifted
-    matrix), 'ok' otherwise. No point is ever dropped.
+    Status marks points where the two-path cross-check is unavailable:
+    'singular' when the augmented system of ``solve_rt_direct`` is singular
+    (values NaN), 'pole' when the direct solve succeeded but the formula path
+    has no answer there (eta below threshold or singular shifted matrix),
+    'ok' otherwise. No point is ever dropped.
+
+    H_C is reduced once to Hessenberg form, and every momentum is then solved
+    in O(n^2) by the direct route in that basis, with |eta| from the joint
+    block of inv(D) (see ``_CenterKernel``). Every pivot is measured against
+    norm_inf of its original-basis matrix. A point whose smallest pivot ratio
+    is below _HANDOFF * PIVOT_RTOL or whose |eta| is below _HANDOFF * ETA_MIN,
+    and the sweep's one point with the smallest of those two margins, are
+    recomputed by ``solve_rt_direct`` and ``coefficients_abc``, which set
+    their values and status exactly as a per-point loop would. So every
+    flagged point comes from the reference routes.
     """
     k_min = float(k_min)
     k_max = float(k_max)
@@ -284,31 +482,19 @@ def spectrum(center, lead: LeadAttachment, k_min: float, k_max: float, steps: in
         raise InvalidRange(
             f"need 0 < k_min < k_max < pi and steps >= 2, got ({k_min}, {k_max}, {steps})"
         )
+    ks = np.linspace(k_min, k_max, steps)
+    energies = np.array([dispersion(k, lead.kappa) for k in ks])
+    r, t, ratio, eta = _CenterKernel(center, lead).solve(ks, energies)
+    margin = np.minimum(ratio / linalg.PIVOT_RTOL, eta / ETA_MIN)
+    handed = margin < _HANDOFF
+    handed[margin.argmin()] = True
     entries = []
-    for k in np.linspace(k_min, k_max, steps):
-        k = float(k)
-        try:
-            sol = solve_rt_direct(center, lead, k)
-        except SingularSystem:
-            entries.append(
-                SpectrumPoint(k=k, transmission=math.nan, reflection=math.nan,
-                              deficit=math.nan, status="singular")
-            )
+    for i, k in enumerate(ks.tolist()):
+        if handed[i]:
+            entries.append(_reference_point(center, lead, k))
             continue
-        status = "ok"
-        try:
-            abc = coefficients_abc(center, lead, k)
-            if abs(abc.eta) <= ETA_MIN:
-                status = "pole"
-        except SingularDelta:
-            status = "pole"
-        entries.append(
-            SpectrumPoint(
-                k=k,
-                transmission=abs(sol.t) ** 2,
-                reflection=abs(sol.r) ** 2,
-                deficit=sol.deficit,
-                status=status,
-            )
-        )
-    return SpectrumResult(entries=entries)
+        ri, ti = complex(r[i]), complex(t[i])
+        entries.append(SpectrumPoint(k=k, transmission=abs(ti) ** 2, reflection=abs(ri) ** 2,
+                                     deficit=1.0 - abs(ri) ** 2 - abs(ti) ** 2, status="ok"))
+    return SpectrumResult(entries=entries, min_pivot_ratio=float(ratio.min()),
+                          min_abs_eta=float(eta.min()), reference_points=int(handed.sum()))

@@ -97,8 +97,29 @@ class TestSpectrum:
             assert status in ("ok", "pole", "singular")
             assert abs(float(deficit)) <= 1e-10
 
+    def test_summary_reports_threshold_margins(self, specs_dir, tmp_path, capsys):
+        argv = ["spectrum", "--spec", str(specs_dir / "four_site_folded.json"), "--k-min", "0.1",
+                "--k-max", "3.0", "--steps", "40", "--out", str(tmp_path / "out.csv")]
+        assert run(argv) == 0
+        line = capsys.readouterr().out.strip()
+        m = re.search(r"\((\d+) flagged; min pivot ratio (\S+), min \|eta\| (\S+), "
+                      r"(\d+) by reference routes\)$", line)
+        assert m, line
+        assert float(m.group(2)) > 0 and float(m.group(3)) > 0
+        assert 1 <= int(m.group(4)) <= 40
+
+    def test_momentum_at_band_edge_exits_one(self, specs_dir, tmp_path, capsys):
+        # sin k <= SIN_K_MIN at the last grid point
+        argv = ["spectrum", "--spec", str(specs_dir / "uniform_chain.json"), "--k-min", "0.5",
+                "--k-max", repr(math.pi - 1e-9), "--steps", "5", "--out", str(tmp_path / "o.csv")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "MomentumOutOfBand: momentum" in err and "is not inside the open band" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_csv_repeats_at_a_fixed_blas_thread_count(self, tmp_path):
-        # At 256 sites OpenBLAS splits the LU's largest matrix products
+        # At 256 sites OpenBLAS splits the Hessenberg reduction's
+        # matrix-vector products, and the reference points' LU products,
         # between two threads, which changes their rounding, so the output is
         # promised identical only for a fixed BLAS thread count.
         spec = tmp_path / "center.json"

@@ -7,7 +7,9 @@ from hypothesis.extra.numpy import arrays
 from tbscatter import linalg
 from tbscatter.errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
 
-from conftest import random_delta_like
+from conftest import exceptional_point_center, random_delta_like
+from tbscatter.model import assemble_full_center_matrix
+from tbscatter.verify import random_hermitian, random_valid_center
 
 
 class TestLuSolve:
@@ -221,6 +223,65 @@ class TestInverseElementCofactor:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             linalg.inverse_element_cofactor(np.array([[1.0, 1.0], [1.0, 1.0]]), 1, 1)
+
+
+def _hessenberg_cases():
+    rng = np.random.default_rng(91)
+    cases = [("hermitian", random_hermitian(rng, n)) for n in (4, 9, 30, 64)]
+    for _ in range(4):
+        center, _ = random_valid_center(rng, na_max=20, nb_max=20)
+        cases.append(("valid center", assemble_full_center_matrix(center)))
+    cases.append(("exceptional point", assemble_full_center_matrix(exceptional_point_center())))
+    return cases
+
+
+class TestHessenberg:
+    @pytest.mark.parametrize("name,a", _hessenberg_cases())
+    def test_reduction(self, name, a):
+        n = a.shape[0]
+        h, q = linalg.hessenberg(a, range(n))
+        assert np.array_equal(np.tril(h, -2), np.zeros((n, n)))
+        np.testing.assert_allclose(q @ q.conj().T, np.eye(n), rtol=0, atol=1e-14)
+        assert linalg.norm_inf(q @ h @ q.conj().T - a) <= 1e-13 * linalg.norm_inf(a)
+        # the joint rows alone are the same rows of the explicit Q
+        rows = (n - 1, 0, n // 2)
+        h_rows, q_rows = linalg.hessenberg(a, rows)
+        np.testing.assert_array_equal(h_rows, h)
+        np.testing.assert_allclose(q_rows, q[list(rows)], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_small_to_reduce(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h, q = linalg.hessenberg(a, range(n))
+        np.testing.assert_array_equal(h, a)
+        np.testing.assert_array_equal(q, np.eye(n))
+
+    def test_three_sites_one_reflection(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h, q = linalg.hessenberg(a, range(3))
+        assert h[2, 0] == 0
+        np.testing.assert_array_equal(q[0], [1, 0, 0])
+        assert linalg.norm_inf(q @ h @ q.conj().T - a) <= 1e-13 * linalg.norm_inf(a)
+
+    def test_column_already_reduced(self):
+        # the first column is zero below the subdiagonal: its reflection is
+        # the identity and the column comes back untouched
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        a[2:, 0] = 0.0
+        h, q = linalg.hessenberg(a, range(5))
+        np.testing.assert_array_equal(h[:, 0], a[:, 0])
+        np.testing.assert_array_equal(q[:, 1], [0, 1, 0, 0, 0])
+        assert linalg.norm_inf(q @ h @ q.conj().T - a) <= 1e-13 * linalg.norm_inf(a)
+
+    def test_already_hessenberg_is_unchanged(self):
+        rng = np.random.default_rng(5)
+        a = np.triu(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
+        h, q = linalg.hessenberg(a, range(6))
+        np.testing.assert_array_equal(h, a)
+        np.testing.assert_array_equal(q, np.eye(6))
 
 
 class TestHermiticityDefect:

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -30,8 +31,13 @@ from tbscatter import (
     transmission_T,
 )
 from tbscatter import linalg
-from tbscatter.scattering import ScatteringSolution
-from tbscatter.verify import random_valid_center
+from tbscatter.errors import SingularSystem
+from tbscatter.model import assemble_full_center_matrix, parse_network_spec
+from tbscatter.ptgraph import fold_generalized, parse_pt_spec
+from tbscatter.scattering import ETA_MIN, ScatteringSolution, _CenterKernel
+from tbscatter.verify import random_hermitian, random_valid_center
+
+from conftest import SPECS_DIR, exceptional_point_center
 
 
 def uniform_chain():
@@ -313,3 +319,155 @@ class TestSpectrum:
             spectrum(center, lead, 0.0, 1.0, 10)
         with pytest.raises(InvalidRange):
             spectrum(center, lead, 0.5, 1.0, 1)
+
+
+def point_loop(center, lead, k_min, k_max, steps):
+    """The sweep one momentum at a time: solve_rt_direct for the values and
+    coefficients_abc on D for the status, each with its own LU."""
+    points = []
+    for k in np.linspace(k_min, k_max, steps):
+        k = float(k)
+        try:
+            sol = solve_rt_direct(center, lead, k)
+        except SingularSystem:
+            points.append((k, math.nan, math.nan, math.nan, "singular"))
+            continue
+        status = "ok"
+        try:
+            if abs(coefficients_abc(center, lead, k).eta) <= ETA_MIN:
+                status = "pole"
+        except SingularDelta:
+            status = "pole"
+        points.append((k, abs(sol.t) ** 2, abs(sol.r) ** 2, sol.deficit, status))
+    return points
+
+
+def assert_matches_point_loop(center, lead, tol, k_min=0.05, k_max=math.pi - 0.05, steps=25):
+    result = spectrum(center, lead, k_min, k_max, steps)
+    expected = point_loop(center, lead, k_min, k_max, steps)
+    assert [p.status for p in result.entries] == [e[4] for e in expected]
+    for p, (k, t, r, deficit, status) in zip(result.entries, expected):
+        assert p.k == k
+        if status == "singular":
+            assert math.isnan(p.transmission) and math.isnan(p.reflection)
+            continue
+        assert abs(p.transmission - t) <= tol
+        assert abs(p.reflection - r) <= tol
+        assert abs(p.deficit - deficit) <= tol
+    assert 1 <= result.reference_points <= steps
+    return result
+
+
+def seeded_center(seed, n_a, n_b):
+    """A valid center with the verify ensemble's coupling strengths."""
+    rng = np.random.default_rng(seed)
+    h_a = random_hermitian(rng, n_a)
+    h_ab = rng.standard_normal((n_a, n_b)) + 1j * rng.standard_normal((n_a, n_b))
+    if n_b:
+        h_ab *= rng.uniform(0.0, 10.0) * linalg.norm_inf(h_a) / linalg.norm_inf(h_ab)
+    center = build_center(h_a, random_hermitian(rng, n_b), h_ab)
+    joints = rng.choice(n_a, size=2, replace=False) + 1
+    lead = LeadAttachment(
+        kappa=float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])),
+        g_left=complex(rng.standard_normal(), rng.standard_normal()),
+        g_right=complex(rng.standard_normal(), rng.standard_normal()),
+        joint_left=int(joints[0]),
+        joint_right=int(joints[1]),
+    )
+    return center, lead
+
+
+class TestSpectrumMatchesPointLoop:
+    """The Hessenberg sweep against the per-point reference loop."""
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_hermitian_centers(self, n):
+        assert_matches_point_loop(*seeded_center(1000 + n, n, 0), tol=1e-12)
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_non_hermitian_centers(self, n):
+        n_b = int(np.random.default_rng(n).integers(1, n - 1)) if n > 3 else 1
+        assert_matches_point_loop(*seeded_center(2000 + n, n - n_b, n_b), tol=1e-12)
+
+    @pytest.mark.parametrize("joints", [(6, 8), (2, 7)], ids=["joints-in-B", "split-lead"])
+    def test_raw_matrices(self, joints):
+        center, _ = seeded_center(31, 5, 4)
+        lead = LeadAttachment(kappa=1.0, g_left=0.7 - 0.2j, g_right=1.1,
+                              joint_left=joints[0], joint_right=joints[1])
+        assert_matches_point_loop(assemble_full_center_matrix(center), lead, tol=1e-12)
+
+    @pytest.mark.parametrize("gammas", [(1.0, 1.0), (2.0, 0.0), (1.5, 0.5)])
+    def test_four_site_ring(self, gammas):
+        matrix, lead = four_site_center(FourSiteParams(*gammas))
+        result = assert_matches_point_loop(matrix, lead, tol=1e-12, k_min=0.1,
+                                           k_max=math.pi - 0.1, steps=101)
+        assert result.entries[50].k == pytest.approx(math.pi / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SPECS_DIR.glob("*.json")))
+    def test_every_spec_file(self, name):
+        text = (SPECS_DIR / name).read_text(encoding="utf-8")
+        if "n1" in json.loads(text):
+            spec = parse_pt_spec(text)
+            lead = LeadAttachment(kappa=1.0, g_left=1.0, g_right=1.0, joint_left=1,
+                                  joint_right=spec.n1)
+            center = fold_generalized(spec, lead)
+        else:
+            center, lead = parse_network_spec(text)
+        assert_matches_point_loop(center, lead, tol=1e-12, k_min=0.1, k_max=3.0, steps=40)
+
+    def test_flagged_points(self):
+        # rank-one cluster: D is singular at the band center (pole); a
+        # decoupled site pinned in band: the augmented system is singular
+        rank_one = build_center([[1.0, 1.0], [1.0, 1.0]])
+        lead = LeadAttachment(kappa=1.0, g_left=1.0, g_right=1.0, joint_left=1, joint_right=2)
+        result = assert_matches_point_loop(rank_one, lead, tol=1e-12, k_min=0.1,
+                                           k_max=math.pi - 0.1, steps=101)
+        assert [p.status for p in result.entries].count("pole") == 1
+        decoupled = build_center([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        k_res = math.acos(-0.25)
+        result = assert_matches_point_loop(decoupled, lead, tol=1e-12, k_min=k_res,
+                                           k_max=k_res + 0.2, steps=7)
+        assert result.entries[0].status == "singular"
+
+    def test_exceptional_point(self):
+        # D and the augmented system are nearly singular around the
+        # coalesced eigenvalue; every point near it goes to the reference
+        center = exceptional_point_center()
+        lead = LeadAttachment(kappa=1.0, g_left=1.0, g_right=0.8, joint_left=1, joint_right=2)
+        energy = float(np.linalg.eigvals(assemble_full_center_matrix(center)).real.max())
+        k_ep = math.acos(-energy / 2.0)
+        assert_matches_point_loop(center, lead, tol=1e-12, k_min=0.1, k_max=3.0, steps=51)
+        for width in (1e-3, 1e-7):
+            assert_matches_point_loop(center, lead, tol=1e-12, k_min=k_ep - width,
+                                      k_max=k_ep + width, steps=41)
+
+    def test_256_sites(self):
+        center, lead = seeded_center(256, 128, 128)
+        result = assert_matches_point_loop(center, lead, tol=1e-10, k_min=0.1, k_max=3.0,
+                                           steps=9)
+        assert result.reference_points == 1
+        assert 0.0 < result.min_pivot_ratio and 0.0 < result.min_abs_eta
+
+    def test_kernel_point_is_the_same_in_any_batch(self):
+        # values of one momentum do not depend on its neighbours, on its
+        # position in a batch, or on the batch size
+        center, lead = seeded_center(7, 9, 6)
+        kernel = _CenterKernel(center, lead)
+        ks = np.linspace(0.2, 2.9, 150)
+        energies = -2.0 * lead.kappa * np.cos(ks)
+        whole = kernel.solve(ks, energies)
+        for i in (0, 1, 63, 64, 100, 149):
+            alone = kernel.solve(ks[i:i + 1], energies[i:i + 1])
+            shifted = kernel.solve(ks[i // 2:], energies[i // 2:])
+            for a, b, c in zip(whole, alone, shifted):
+                assert a[i] == b[0] == c[i - i // 2]
+
+    def test_out_of_band_grid_fails_before_factoring(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorization before the momentum check")
+
+        monkeypatch.setattr(linalg, "hessenberg", refuse)
+        monkeypatch.setattr(linalg, "lu_factor", refuse)
+        center, lead = uniform_chain()
+        with pytest.raises(MomentumOutOfBand, match="not inside the open band"):
+            spectrum(center, lead, 0.5, math.pi - 1e-9, 5)
