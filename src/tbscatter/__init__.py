@@ -75,6 +75,7 @@ from .four_site import (
     zeta,
 )
 from .wavepacket import (
+    FiniteSystem,
     WavepacketConfig,
     build_finite_system,
     evolve,

@@ -12,6 +12,7 @@ so the lower-left block is structural, never user data. Leads (hopping
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -99,7 +100,7 @@ class LeadAttachment:
     """Waveguide hopping and the two joint couplings on cluster A.
 
     Joints are 1-based site indices into cluster A and must differ; kappa is
-    real and nonzero, the couplings g are nonzero complex.
+    real, finite and nonzero, the couplings g are finite nonzero complex.
     """
 
     kappa: float
@@ -110,12 +111,16 @@ class LeadAttachment:
 
     def __post_init__(self):
         kappa = complex(self.kappa)
+        if not cmath.isfinite(kappa):
+            raise ValueError("kappa must be finite")
         if kappa.imag != 0.0:
             raise ValueError("kappa must be real")
         if kappa.real == 0.0:
             raise ValueError("kappa must be nonzero")
         g_left = complex(self.g_left)
         g_right = complex(self.g_right)
+        if not (cmath.isfinite(g_left) and cmath.isfinite(g_right)):
+            raise ValueError("joint couplings must be finite")
         if g_left == 0 or g_right == 0:
             raise ValueError("joint couplings must be nonzero")
         jl = int(self.joint_left)

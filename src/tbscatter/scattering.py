@@ -145,6 +145,19 @@ def _delta_lu(center, lead: LeadAttachment, k: float):
     return lu, perm, n_joint, energy
 
 
+def _abc_from_joint_block(g_ll, g_lr, g_rl, g_rr, lead: LeadAttachment, eik) -> AbcCoefficients:
+    """a, b, b~, c and eta from the joint block of inv(D), g_xy = inv(D)_xy,
+    at e^{ik} = ``eik``; scalars, or arrays over momenta."""
+    kappa = lead.kappa
+    g_l, g_r = lead.g_left, lead.g_right
+    a = g_ll * abs(g_l) ** 2 / kappa
+    c = g_rr * abs(g_r) ** 2 / kappa
+    b = g_lr * g_l.conjugate() * g_r / kappa
+    b_tilde = g_rl * g_l * g_r.conjugate() / kappa
+    eta = (b * b_tilde - a * c) * eik * eik + (a + c) * eik - 1.0
+    return AbcCoefficients(a=a, b=b, b_tilde=b_tilde, c=c, eta=eta)
+
+
 def _joint_abc(lu, perm, lead: LeadAttachment, k: float) -> AbcCoefficients:
     """Solve for the two joint columns of inv(D) on an existing factorization."""
     jl = lead.joint_left - 1
@@ -153,15 +166,8 @@ def _joint_abc(lu, perm, lead: LeadAttachment, k: float) -> AbcCoefficients:
     rhs[jl, 0] = 1.0
     rhs[jr, 1] = 1.0
     cols = linalg.lu_solve_factored(lu, perm, rhs)
-    kappa = lead.kappa
-    g_l, g_r = lead.g_left, lead.g_right
-    a = cols[jl, 0] * abs(g_l) ** 2 / kappa
-    c = cols[jr, 1] * abs(g_r) ** 2 / kappa
-    b = cols[jl, 1] * g_l.conjugate() * g_r / kappa
-    b_tilde = cols[jr, 0] * g_l * g_r.conjugate() / kappa
-    eik = cmath.exp(1j * k)
-    eta = (b * b_tilde - a * c) * eik * eik + (a + c) * eik - 1.0
-    return AbcCoefficients(a=a, b=b, b_tilde=b_tilde, c=c, eta=eta)
+    return _abc_from_joint_block(cols[jl, 0], cols[jl, 1], cols[jr, 0], cols[jr, 1],
+                                 lead, cmath.exp(1j * k))
 
 
 def coefficients_abc(center, lead: LeadAttachment, k: float) -> AbcCoefficients:
@@ -377,12 +383,8 @@ class _CenterKernel:
         ((g_ll, g_rl), (g_lr, g_rr)), piv = self._eliminate(
             self.status_rows, border_rows, energies, 2)
         ratio = np.minimum(ratio, piv / norm_d)
-        a = -g_ll * abs(g_l) ** 2 / kappa
-        c = -g_rr * abs(g_r) ** 2 / kappa
-        b = -g_lr * g_l.conjugate() * g_r / kappa
-        bt = -g_rl * g_l * g_r.conjugate() / kappa
-        eta = (b * bt - a * c) * phase + (a + c) * eik - 1.0
-        return r, t, ratio, np.abs(eta)
+        abc = _abc_from_joint_block(-g_ll, -g_lr, -g_rl, -g_rr, lead, eik)
+        return r, t, ratio, np.abs(abc.eta)
 
     def _eliminate(self, rows, border, energies, pivot_slots):
         """Forward elimination of the rows of H - E (``rows`` with the energy

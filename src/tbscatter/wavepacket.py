@@ -13,12 +13,14 @@ Geometry of the finite system, dimension 2 n + n_center:
     index n+n_center ..       right lead, lattice coordinates +1 .. +n
 
 Lead bonds are -kappa; the joints couple with -g_L, -g_R exactly as in the
-infinite model. Because H does not depend on time, i dpsi/dt = H psi is
-solved exactly by psi(t) = exp(-i t H) psi(0). Each output interval applies
-that exponential with a truncated Taylor series and scaling on sparse
-matvecs (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Algorithm
-3.2), to a backward error of 2^-53 in exact arithmetic. The series needs
-only products with H, so it serves non-Hermitian centers as well.
+infinite model. H is kept by that structure (``FiniteSystem``): the lead
+bonds plus one dense block over the center and the two lead ends. Because H
+does not depend on time, i dpsi/dt = H psi is solved exactly by
+psi(t) = exp(-i t H) psi(0). Each output interval applies that exponential
+with a truncated Taylor series and scaling (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011), Algorithm 3.2), to a backward error of 2^-53 in
+exact arithmetic. The series needs only products with H and its 1-norm, so
+it serves non-Hermitian centers as well.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from . import linalg
 from .errors import DimensionMismatch, InvalidConfig
-from .model import LeadAttachment, _shifted_center
+from .model import LeadAttachment, _center_matrix
 
 # run_experiment probes the packet at t_final / _PROBE_INTERVALS spacing.
 _PROBE_INTERVALS = 200
@@ -51,6 +53,7 @@ _THETA = {
 
 __all__ = [
     "WavepacketConfig",
+    "FiniteSystem",
     "build_finite_system",
     "gaussian_packet",
     "evolve",
@@ -99,27 +102,67 @@ class WavepacketConfig:
         object.__setattr__(self, "t_final", t_final)
 
 
-def build_finite_system(center, lead: LeadAttachment, n: int) -> np.ndarray:
-    """Dense matrix of two n-site leads around the embedded center."""
-    hc, _ = _shifted_center(center, 0.0, lead)  # D at E = 0 is H_C itself
+class FiniteSystem:
+    """The finite system's H, kept by its structure.
+
+    ``bonds[i]`` is the hopping between sites i and i + 1: -kappa along
+    each lead, zero from the left lead's end to the right lead's start.
+    ``block`` is H over the n_c + 2 sites from ``start``: the left lead's
+    end, the center and the right lead's start, so H_C and the four joint
+    couplings.
+    """
+
+    def __init__(self, bonds: np.ndarray, block: np.ndarray, start: int):
+        self.bonds = bonds
+        self.block = block
+        self._window = slice(start, start + block.shape[0])
+        self.shape = (bonds.shape[0] + 1,) * 2
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.complex128)
+        y = np.empty_like(x)
+        np.multiply(self.bonds, x[1:], out=y[:-1])
+        y[-1] = 0.0
+        y[1:] += self.bonds * x[:-1]
+        y[self._window] += self.block @ x[self._window]
+        return y
+
+    def norm1(self) -> float:
+        """Max absolute column sum of H."""
+        cols = np.zeros(self.shape[0])
+        bonds = np.abs(self.bonds)
+        cols[1:] += bonds
+        cols[:-1] += bonds
+        cols[self._window] += np.abs(self.block).sum(axis=0)
+        return float(cols.max())
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense H."""
+        m = np.zeros(self.shape, dtype=np.complex128)
+        i = np.arange(self.bonds.shape[0])
+        m[i, i + 1] = m[i + 1, i] = self.bonds
+        m[self._window, self._window] = self.block
+        return m if dtype is None else m.astype(dtype, copy=False)
+
+
+def build_finite_system(center, lead: LeadAttachment, n: int) -> FiniteSystem:
+    """H of two n-site leads around the embedded center."""
+    hc, _ = _center_matrix(center, lead)
     nc = hc.shape[0]
     n = int(n)
     if n < 1:
         raise DimensionMismatch("each lead needs at least one site")
-    dim = 2 * n + nc
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[n : n + nc, n : n + nc] = hc
-    right0 = n + nc
-    for first in (0, right0):  # the n - 1 bonds of each lead
-        i = np.arange(first, first + n - 1)
-        m[i, i + 1] = m[i + 1, i] = -lead.kappa
-    jl = n + lead.joint_left - 1
-    jr = n + lead.joint_right - 1
-    m[jl, n - 1] = -lead.g_left
-    m[n - 1, jl] = -lead.g_left.conjugate()
-    m[jr, right0] = -lead.g_right
-    m[right0, jr] = -lead.g_right.conjugate()
-    return m
+    bonds = np.full(2 * n + nc - 1, -lead.kappa, dtype=np.complex128)
+    bonds[n - 1 : n + nc] = 0.0
+    block = np.zeros((nc + 2, nc + 2), dtype=np.complex128)
+    block[1:-1, 1:-1] = hc
+    # Joint j (1-based in the center) is row j of the block.
+    jl, jr = lead.joint_left, lead.joint_right
+    block[jl, 0] = -lead.g_left
+    block[0, jl] = -lead.g_left.conjugate()
+    block[jr, -1] = -lead.g_right
+    block[-1, jr] = -lead.g_right.conjugate()
+    return FiniteSystem(bonds, block, n - 1)
 
 
 def gaussian_packet(n: int, n_center: int, x0: float, sigma: float, k0: float) -> np.ndarray:
@@ -146,22 +189,22 @@ def gaussian_packet(n: int, n_center: int, x0: float, sigma: float, k0: float) -
     return psi
 
 
-def _expm_multiply(a, psi, t: float, norm1: float) -> np.ndarray:
-    """exp(t a) psi for a sparse ``a`` with ||a||_1 = norm1 (Al-Mohy & Higham
-    2011, Algorithm 3.2 without the shift): s substeps of the degree-m Taylor
+def _expm_multiply(h, psi, t: float, norm1: float) -> np.ndarray:
+    """exp(-i t h) psi for ``h`` with ||h||_1 = norm1 (Al-Mohy & Higham 2011,
+    Algorithm 3.2 without the shift): s substeps of the degree-m Taylor
     series, each cut off once two successive terms fall below
     _TAYLOR_TOL * ||F||_inf."""
     f = psi.copy()
     if t * norm1 == 0.0:
         return f
-    # The fewest matvecs m * s with ||t a||_1 / s <= theta_m.
+    # The fewest matvecs m * s with ||t h||_1 / s <= theta_m.
     m, s = min(((m, math.ceil(t * norm1 / theta)) for m, theta in _THETA.items()),
                key=lambda ms: ms[0] * ms[1])
     for _ in range(s):
         term = f
         c1 = np.abs(term).max()
         for k in range(1, m + 1):
-            term = (a @ term) * (t / (s * k))
+            term = (h @ term) * (-1j * (t / (s * k)))
             c2 = np.abs(term).max()
             f += term
             if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
@@ -173,16 +216,19 @@ def _expm_multiply(a, psi, t: float, norm1: float) -> np.ndarray:
 def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
     """psi(t_final) = exp(-i t_final H) psi0, the solution of i dpsi/dt = H psi.
 
-    ``dt`` is the output interval, not an integrator step: each interval is
-    one truncated-Taylor evaluation of exp(-i dt H) psi on the CSR form of H,
-    accurate to a backward error of 2^-53 (the unit roundoff) in exact
-    arithmetic, whatever dt * norm(H). ``probe(t, psi)``, when given, is
-    called at t=0, after every dt, and at t_final; when t_final is not a
-    multiple of dt, the last interval is shorter.
+    ``h`` is a ``FiniteSystem`` or a square array. ``dt`` is the output
+    interval, not an integrator step: each interval is one truncated-Taylor
+    evaluation of exp(-i dt H) psi on products with H, accurate to a backward
+    error of 2^-53 (the unit roundoff) in exact arithmetic, whatever
+    dt * norm(H). ``probe(t, psi)``, when given, is called at t=0, after
+    every dt, and at t_final; when t_final is not a multiple of dt, the last
+    interval is shorter.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
+    if isinstance(h, FiniteSystem):
+        norm1 = h.norm1()
+    else:
+        h = linalg.as_square_matrix(h)
+        norm1 = float(np.abs(h).sum(axis=0).max(initial=0.0))
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     if psi.shape != (h.shape[0],):
         raise DimensionMismatch(f"state length {psi.shape} does not match {h.shape}")
@@ -190,12 +236,6 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
     dt = float(dt)
     if t_final < 0 or dt <= 0:
         raise ValueError("t_final must be >= 0 and dt > 0")
-    # The dense H is read once, into CSR; its checks run on the nonzeros.
-    h_csr = sparse.csr_matrix(h)
-    if not np.isfinite(h_csr.data).all():
-        raise ValueError("matrix entries must be finite")
-    a = h_csr * -1j
-    norm1 = float((np.ones(h.shape[0]) @ abs(a)).max(initial=0.0))
     # A remainder below 1e-9 dt is rounding in t_final / dt, not an interval
     # of its own: it joins the last interval.
     intervals = max(1, math.ceil(t_final / dt - 1e-9)) if t_final > 0 else 0
@@ -204,7 +244,7 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
         probe(t, psi)
     for i in range(1, intervals + 1):
         t_next = t_final if i == intervals else i * dt
-        psi = _expm_multiply(a, psi, t_next - t, norm1)
+        psi = _expm_multiply(h, psi, t_next - t, norm1)
         t = t_next
         if probe is not None:
             probe(t, psi)

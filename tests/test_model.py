@@ -154,6 +154,14 @@ class TestLeadAttachment:
         with pytest.raises(ValueError):
             LeadAttachment(kappa=1.0, g_left=0.0, g_right=1.0, joint_left=1, joint_right=2)
 
+    @pytest.mark.parametrize("field", ["kappa", "g_left", "g_right"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_rejects_non_finite_values(self, field, value):
+        fields = dict(kappa=1.0, g_left=1.0, g_right=1.0, joint_left=1, joint_right=2)
+        fields[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            LeadAttachment(**fields)
+
     def test_rejects_equal_joints(self):
         with pytest.raises(ValueError):
             LeadAttachment(kappa=1.0, g_left=1.0, g_right=1.0, joint_left=2, joint_right=2)

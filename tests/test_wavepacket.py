@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ from tbscatter import (
     FourSiteParams,
     InvalidConfig,
     LeadAttachment,
+    ScatteringCenter,
     WavepacketConfig,
+    assemble_full_center_matrix,
     build_center,
     build_finite_system,
     evolve,
@@ -25,6 +28,7 @@ from tbscatter import (
     solve_rt_formula,
 )
 from tbscatter import linalg
+from tbscatter.verify import random_hermitian
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,6 +39,39 @@ def load_perfbench(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def dense_finite_system(center, lead: LeadAttachment, n: int) -> np.ndarray:
+    """The finite system assembled entry by entry, as the reference."""
+    hc = assemble_full_center_matrix(center) if isinstance(center, ScatteringCenter) else center
+    nc = hc.shape[0]
+    m = np.zeros((2 * n + nc, 2 * n + nc), dtype=complex)
+    m[n : n + nc, n : n + nc] = hc
+    for first in (0, n + nc):
+        for i in range(first, first + n - 1):
+            m[i, i + 1] = m[i + 1, i] = -lead.kappa
+    jl, jr = n + lead.joint_left - 1, n + lead.joint_right - 1
+    m[jl, n - 1], m[n - 1, jl] = -lead.g_left, -lead.g_left.conjugate()
+    m[jr, n + nc], m[n + nc, jr] = -lead.g_right, -lead.g_right.conjugate()
+    return m
+
+
+def operator_cases():
+    """(center, lead, n): kappa != 1 and complex g throughout; with kappa = 5
+    the lead columns carry the 1-norm."""
+    rng = np.random.default_rng(5)
+    h_ab = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    center = build_center(random_hermitian(rng, 3), random_hermitian(rng, 2), h_ab)
+    raw = assemble_full_center_matrix(center)
+    lead = LeadAttachment(kappa=0.7, g_left=0.3 + 0.4j, g_right=-0.9 + 0.1j, joint_left=2,
+                          joint_right=3)
+    return {
+        "center with n_b > 0": (center, lead, 20),
+        "raw, joints on first and last sites":
+            (raw, replace(lead, kappa=5.0, joint_left=1, joint_right=5), 20),
+        "raw, joints in B": (raw, replace(lead, joint_left=5, joint_right=4), 20),
+        "one-site leads": (center, lead, 1),
+    }
 
 
 def uniform_center():
@@ -80,6 +117,34 @@ class TestBuildFiniteSystem:
         residual = h @ psi - sol.energy * psi
         # rows away from the hard walls must vanish
         assert np.abs(residual[1:-1]).max() <= 1e-10
+
+    @pytest.mark.parametrize("case", operator_cases())
+    def test_operator_matches_dense_form(self, case):
+        center, lead, n = operator_cases()[case]
+        op = build_finite_system(center, lead, n)
+        dense = np.asarray(op)
+        np.testing.assert_array_equal(dense, dense_finite_system(center, lead, n))
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(dense.shape[0]) + 1j * rng.standard_normal(dense.shape[0])
+        # A row is a sum of at most n_c + 2 products, which the BLAS kernel
+        # groups differently in the block and in the dense row, so the two
+        # need not be bit-equal; each is within about (n_c + 2) u |H| |x| of
+        # the exact product, u = eps / 2 (Higham, Accuracy and Stability of
+        # Numerical Algorithms, section 3.1).
+        nc = dense.shape[0] - 2 * n
+        bound = (nc + 2) * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+        assert np.all(np.abs(op @ x - dense @ x) <= bound)
+        assert op.norm1() == np.abs(dense).sum(axis=0).max()
+        assert np.count_nonzero(op) == np.count_nonzero(dense)
+
+    def test_operator_and_dense_form_evolve_alike(self):
+        center, lead, n = operator_cases()["center with n_b > 0"]
+        op = build_finite_system(center, lead, n)
+        rng = np.random.default_rng(7)
+        psi0 = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        expected = evolve(np.asarray(op), psi0, 3.0, 1.0)
+        got = evolve(op, psi0, 3.0, 1.0)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 class TestGaussianPacket:
