@@ -396,6 +396,7 @@ class _CenterKernel:
         largest of the first ``pivot_slots`` (4: partial pivoting on the
         whole system; 2: on H - E alone, with the border rows eliminated
         alongside), and the next Hessenberg row takes the pivot's slot.
+        The center has n >= 2 sites, since the lead's joints are distinct.
         Returns the two surviving rows' entries past column n, as
         (column, row, energy), and the smallest pivot magnitude per energy.
         """
@@ -407,12 +408,8 @@ class _CenterKernel:
         tmp = np.empty_like(buf)
         buf[:, 0] = rows[0, :, None]
         buf[0, 0] -= energies
-        if n > 1:
-            buf[:, 1] = rows[1, :, None]
-            buf[1, 1] -= energies
-        else:
-            buf[:, 1] = 0.0
-            dead = np.ones(b, dtype=np.intp)
+        buf[:, 1] = rows[1, :, None]
+        buf[1, 1] -= energies
         buf[:, 2:] = border
         smallest = np.full(b, np.inf)
         for j in range(n):

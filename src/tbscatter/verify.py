@@ -507,6 +507,8 @@ SUITE_NAMES = ("conservation", "appendix", "ptfold")
 
 
 def run_suites(names, trials: int, seed: int) -> list[SuiteReport]:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     reports = []
     for name in names:
         if name == "conservation":

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -189,6 +190,14 @@ class TestVerifyCommand:
         lu_route = next(line for line in out.splitlines() if "(LU route)" in line)
         assert "trial 7," not in lu_route
 
+    @pytest.mark.parametrize("trials,suite", [("0", "all"), ("-3", "ptfold")])
+    def test_trials_below_one_exit_one(self, capsys, trials, suite):
+        code = run(["verify", "--trials", trials, "--seed", "1", "--suite", suite])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: trials must be at least 1, got {trials}\n"
+
     def test_failing_suite_exits_two(self, capsys, monkeypatch):
         failing = SuiteReport(
             suite="conservation", trials=1, seed=1,
@@ -341,6 +350,26 @@ class TestWavepacketCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidConfig:") and "x0" in err
+
+    @pytest.mark.parametrize("entry", [1e308, 1e6])
+    def test_unbounded_propagator_work_exits_one(self, specs_dir, tmp_path, capsys, entry):
+        # 1e308 overflows t_final * ||H||_1; 1e6 asks for about 1e7 Taylor
+        # substeps. Both are refused before the first interval.
+        doc = json.loads((specs_dir / "uniform_chain.json").read_text(encoding="utf-8"))
+        doc["H_A"][0][0] = [entry, 0.0]
+        spec = tmp_path / "chain.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        code = run([
+            "wavepacket", "--spec", str(spec), "--k0", "1.0", "--length", "200",
+            "--out", str(tmp_path / "probe.csv"),
+        ])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: InvalidConfig:") and "Taylor substeps" in captured.err
+        assert "Traceback" not in captured.err
+        assert elapsed < 1.0
 
     def test_zero_carrier_momentum_exits_one(self, specs_dir, tmp_path, capsys):
         code = run([

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from tbscatter import (
     DimensionMismatch,
+    FiniteSystem,
     FourSiteParams,
     InvalidConfig,
     LeadAttachment,
@@ -234,6 +235,47 @@ class TestEvolve:
         expected = expm(-1j * t_final * h) @ psi0
         got = evolve(h, psi0, t_final, dt)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("t_norm1", [29.8, 100.0])
+    def test_many_substeps_match_expm(self, hermitian, t_norm1):
+        # One interval of ceil(t ||H||_1 / 9.9) = 4 and 11 Taylor substeps,
+        # each just past a multiple of 9.9.
+        h, psi0 = self.random_case(hermitian)
+        t = t_norm1 / np.abs(h).sum(axis=0).max()
+        expected = expm(-1j * t * h) @ psi0
+        got = evolve(h, psi0, t, t)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_criterion_7_work(self, monkeypatch):
+        # The folded ring at gamma = 1, k0 = pi/3 takes 4,000 products with
+        # H over its 200 probe intervals; more means the substep rule or the
+        # Taylor cutoff went slack.
+        products = 0
+        matmul = FiniteSystem.__matmul__
+
+        def counted(self, x):
+            nonlocal products
+            products += 1
+            return matmul(self, x)
+
+        monkeypatch.setattr(FiniteSystem, "__matmul__", counted)
+        center, lead = folded_four_site(FourSiteParams(1.0, 1.0))
+        config = WavepacketConfig(chain_half_length=600, x0=-300.0, sigma=15.0, k0=math.pi / 3)
+        result = run_experiment(center, lead, config)
+        assert products <= 4000
+        assert result["p_right"] == 0.9988410162093386
+
+    @pytest.mark.parametrize("entry", [1e308, 1e6, np.nan])
+    def test_rejects_unbounded_work_before_the_first_interval(self, entry):
+        center, lead = uniform_center()
+        h = build_finite_system(center, lead, 200)
+        h.block[1, 1] = entry
+        probed = []
+        with pytest.raises(InvalidConfig, match="Taylor substeps"):
+            evolve(h, gaussian_packet(200, 2, -100.0, 15.0, 1.0), 100.0, 0.5,
+                   probe=lambda t, psi: probed.append(t))
+        assert probed == []
 
     def test_long_interval_matches_expm(self):
         # dt * norm_inf(H) = 5: no step-size bound, the interval is split
