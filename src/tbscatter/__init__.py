@@ -17,6 +17,7 @@ from .errors import (
     InvalidSite,
     JointOutsideAxis,
     MomentumOutOfBand,
+    NonFiniteState,
     NotHermitian,
     NotInConservingClass,
     ParseError,

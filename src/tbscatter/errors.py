@@ -72,3 +72,7 @@ class JointOutsideAxis(ScatterError):
 
 class InvalidConfig(ScatterError):
     """A wavepacket configuration violates its geometric invariants."""
+
+
+class NonFiniteState(ScatterError):
+    """A time-evolved state's norm stopped being a finite number."""

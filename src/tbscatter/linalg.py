@@ -6,6 +6,8 @@ kernel runs on numpy alone at close to BLAS speed for large matrices.
 
 ``hessenberg`` reduces a matrix once to upper Hessenberg form, A = Q H Q*,
 so that a shifted system H - E costs O(n^2) per energy instead of O(n^3).
+Its Householder reflections are blocked in compact-WY panels, so most of its
+flops are matrix products as well.
 
 Matrices are plain numpy arrays of complex128. Two independent routes to the
 elements of an inverse are provided: the factorization route (``inverse``) and
@@ -222,40 +224,74 @@ def inverse_element_cofactor(a, i: int, j: int, det_a: complex | None = None) ->
     return sign * minor_det(m, j, i) / d
 
 
+# Columns per compact-WY panel of ``hessenberg``. On 256-site centers (2-vCPU
+# Xeon, one OpenBLAS thread) width 16 ran fastest of 8 to 32: 27 ms a call,
+# against 32 ms at 8 and 31 ms at 32. Wider panels round a little worse: over
+# 4,800 seeded centers the sweep kernel's median gap to the per-point routes
+# was 3%, 8% and 19% above the unblocked reduction's at widths 8, 16 and 32.
+_HESS_PANEL = 16
+
+
 def hessenberg(a, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Upper Hessenberg form by Householder reflections: ``a = Q H Q*``.
+    """Upper Hessenberg form by blocked Householder reflections: ``a = Q H Q*``.
 
     Returns ``H``, with exact zeros below the subdiagonal, and the rows
-    ``rows`` (0-based) of the unitary ``Q``, accumulated one reflection at a
-    time without forming Q (Golub & Van Loan, Matrix Computations, 7.4.2).
-    A column already zero below the subdiagonal is skipped (its reflection
-    is the identity).
+    ``rows`` (0-based) of the unitary ``Q``, without forming Q. A column
+    already zero below the subdiagonal is skipped (its reflection is the
+    identity).
+
+    Reflections come in panels of ``_HESS_PANEL`` columns, each kept in
+    compact-WY form: the panel's product is I - V T V*, with T upper
+    triangular, and Y = A V T for the matrix A at the panel's start (LAPACK's
+    zgehrd/zlahr2; Quintana-Orti & van de Geijn, ACM TOMS 32, 180 (2006)).
+    Within a panel each column is brought up to date with the reflections
+    before it, from the right through Y and from the left through V and T,
+    and its reflection extends V, T and Y by one matrix-vector product with
+    A's trailing columns. After the panel, the trailing columns and the rows
+    of Q take the whole panel in three matrix products.
     """
     h = as_square_matrix(a).copy()
     n = h.shape[0]
     q = np.zeros((len(rows), n), dtype=np.complex128)
     q[np.arange(len(rows)), list(rows)] = 1.0
-    for col in range(n - 2):
-        x = h[col + 1 :, col]
-        if not np.any(x[1:]):
+    for k in range(0, n - 2, _HESS_PANEL):
+        end = min(k + _HESS_PANEL, n - 2)
+        # Reflection j acts on rows k+1: and below; V keeps rows k+1: only.
+        v = np.zeros((n - k - 1, end - k), dtype=np.complex128)
+        t = np.zeros((end - k, end - k), dtype=np.complex128)
+        y = np.zeros((n, end - k), dtype=np.complex128)
+        m = 0
+        for col in range(k, end):
+            if m:
+                vm = v[:, :m]
+                h[:, col] -= y[:, :m] @ vm[col - k - 1].conj()
+                low = h[k + 1 :, col]
+                low -= vm @ (t[:m, :m].conj().T @ (vm.conj().T @ low))
+            x = h[col + 1 :, col]
+            if not np.any(x[1:]):
+                continue
+            norm = float(np.linalg.norm(x))
+            phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
+            alpha = -phase * norm
+            u = x.copy()
+            u[0] -= alpha
+            u /= np.linalg.norm(u)
+            h[col + 1, col] = alpha
+            h[col + 2 :, col] = 0.0
+            v[col - k :, m] = u
+            vu = v[col - k :, :m].conj().T @ u
+            t[:m, m] = -2.0 * (t[:m, :m] @ vu)
+            t[m, m] = 2.0
+            y[:, m] = 2.0 * (h[:, col + 1 :] @ u - y[:, :m] @ vu)
+            m += 1
+        if not m:
             continue
-        norm = float(np.linalg.norm(x))
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        alpha = -phase * norm
-        v = x.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        w = 2.0 * v
-        vh = v.conj()
-        # H <- P H P with P = I - 2 v v*, acting on rows and columns col+1:.
-        block = h[col + 1 :, col + 1 :]
-        block -= w[:, None] * (vh @ block)
-        right = h[:, col + 1 :]
-        right -= (right @ v)[:, None] * (2.0 * vh)
-        h[col + 1, col] = alpha
-        h[col + 2 :, col] = 0.0
-        tail = q[:, col + 1 :]
-        tail -= (tail @ v)[:, None] * (2.0 * vh)
+        v, t, y = v[:, :m], t[:m, :m], y[:, :m]
+        h[:, end:] -= y @ v[end - k - 1 :].conj().T
+        low = h[k + 1 :, end:]
+        low -= v @ (t.conj().T @ (v.conj().T @ low))
+        tail = q[:, k + 1 :]
+        tail -= ((tail @ v) @ t) @ v.conj().T
     return h, q
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteState
 from .model import LeadAttachment, _center_matrix
 
 # run_experiment probes the packet at t_final / _PROBE_INTERVALS spacing.
@@ -217,7 +217,9 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
     dt * norm(H). ``probe(t, psi)``, when given, is called at t=0, after
     every dt, and at t_final; when t_final is not a multiple of dt, the last
     interval is shorter. Raises ``InvalidConfig`` up front when t_final *
-    ||H||_1 is not finite or needs more than _MAX_SUBSTEPS substeps.
+    ||H||_1 is not finite or needs more than _MAX_SUBSTEPS substeps, and
+    ``NonFiniteState`` at the end of the first interval whose state has a
+    norm that is not finite (a growing mode has overflowed), before probing it.
     """
     if isinstance(h, FiniteSystem):
         norm1 = h.norm1()
@@ -242,8 +244,13 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
         probe(t, psi)
     for i in range(1, intervals + 1):
         t_next = t_final if i == intervals else i * dt
-        psi = _expm_multiply(h, psi, t_next - t, norm1)
+        # An overflow inside the series is caught below, by the norm it leaves.
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = _expm_multiply(h, psi, t_next - t, norm1)
         t = t_next
+        if not math.isfinite(np.vdot(psi, psi).real):
+            raise NonFiniteState(f"the state's norm is not finite at t = {t!r}; a growing "
+                                 "mode of the system has overflowed")
         if probe is not None:
             probe(t, psi)
     return psi

@@ -120,8 +120,7 @@ class TestSpectrum:
         assert not (tmp_path / "o.csv").exists()
 
     def test_csv_repeats_at_a_fixed_blas_thread_count(self, tmp_path):
-        # At 256 sites OpenBLAS splits the Hessenberg reduction's
-        # matrix-vector products, and the reference points' LU products,
+        # At 256 sites OpenBLAS splits the reference point's LU products
         # between two threads, which changes their rounding, so the output is
         # promised identical only for a fixed BLAS thread count.
         spec = tmp_path / "center.json"
@@ -141,6 +140,8 @@ class TestSpectrum:
 
 def test_import_and_commands_do_not_load_scipy(specs_dir, tmp_path):
     # The package runs on numpy alone; scipy is only the tests' reference.
+    # Importing it loads nothing but the standard library and numpy, which
+    # keeps its start-up time down.
     spec = tmp_path / "center.json"
     write_random_spec(spec, 40, 8, seed=3)
     spectrum = ["spectrum", "--spec", str(spec), "--k-min", "0.2", "--k-max", "2.9",
@@ -149,7 +150,10 @@ def test_import_and_commands_do_not_load_scipy(specs_dir, tmp_path):
                   "--length", "200", "--out", str(tmp_path / "probe.csv")]
     out = run_fresh(
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import tbscatter\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'numpy', 'tbscatter'}))\n"
         "print('scipy' in sys.modules)\n"
         "from tbscatter.cli import run\n"
         "assert run(['verify', '--trials', '3', '--seed', '1', '--suite', 'all']) == 0\n"
@@ -158,7 +162,7 @@ def test_import_and_commands_do_not_load_scipy(specs_dir, tmp_path):
         "print('scipy' in sys.modules)\n"
     )
     lines = out.splitlines()
-    assert (lines[0], lines[-1]) == ("False", "False")
+    assert (lines[0], lines[1], lines[-1]) == ("[]", "False", "False")
 
 
 class TestVerifyCommand:
@@ -370,6 +374,23 @@ class TestWavepacketCommand:
         assert captured.err.startswith("error: InvalidConfig:") and "Taylor substeps" in captured.err
         assert "Traceback" not in captured.err
         assert elapsed < 1.0
+
+    def test_overflowing_state_exits_one(self, specs_dir, tmp_path, capsys):
+        # The balanced ring at gamma = 2 has a bound state at E = 1.1547i; by
+        # t = 1472 of the length-5000 run the state's norm passes the float
+        # range, and the run stops there instead of printing nan masses.
+        doc = json.loads((specs_dir / "four_site_folded.json").read_text(encoding="utf-8"))
+        doc["H_AB"][2][0] = [0.0, 2.0]
+        spec = tmp_path / "ring.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "probe.csv"
+        code = run(["wavepacket", "--spec", str(spec), "--k0", "1.0", "--length", "5000",
+                    "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: NonFiniteState:") and "at t = 1472.2" in captured.err
+        assert "nan" not in (captured.out + captured.err).lower()
+        assert not out.exists()
 
     def test_zero_carrier_momentum_exits_one(self, specs_dir, tmp_path, capsys):
         code = run([

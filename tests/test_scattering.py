@@ -35,7 +35,7 @@ from tbscatter.errors import SingularSystem
 from tbscatter.model import assemble_full_center_matrix, parse_network_spec
 from tbscatter.ptgraph import fold_generalized, parse_pt_spec
 from tbscatter.scattering import ETA_MIN, ScatteringSolution, _CenterKernel
-from tbscatter.verify import random_hermitian, random_valid_center
+from tbscatter.verify import DEFICIT_TOL, random_hermitian, random_valid_center
 
 from conftest import SPECS_DIR, exceptional_point_center
 
@@ -447,6 +447,13 @@ class TestSpectrumMatchesPointLoop:
                                            steps=9)
         assert result.reference_points == 1
         assert 0.0 < result.min_pivot_ratio and 0.0 < result.min_abs_eta
+
+    def test_256_sites_mostly_cluster_a(self):
+        # sixteen panels of the blocked reduction, against the per-point loop
+        # at the conservation contract
+        center, lead = seeded_center(2561, 200, 56)
+        assert_matches_point_loop(center, lead, tol=DEFICIT_TOL, k_min=0.1, k_max=3.0,
+                                  steps=11)
 
     def test_kernel_point_is_the_same_in_any_batch(self):
         # values of one momentum do not depend on its neighbours, on its

@@ -13,6 +13,7 @@ from tbscatter import (
     FourSiteParams,
     InvalidConfig,
     LeadAttachment,
+    NonFiniteState,
     ScatteringCenter,
     WavepacketConfig,
     assemble_full_center_matrix,
@@ -276,6 +277,16 @@ class TestEvolve:
             evolve(h, gaussian_packet(200, 2, -100.0, 15.0, 1.0), 100.0, 0.5,
                    probe=lambda t, psi: probed.append(t))
         assert probed == []
+
+    def test_overflowing_state_raises_before_its_probe(self):
+        # exp(-i t H) psi0 = e^{100 t}: |psi|^2 passes the float range at
+        # t = 3.55, inside the fourth interval; numpy's overflow warning
+        # (an error in this suite) must not escape either
+        probed = []
+        with pytest.raises(NonFiniteState, match=r"at t = 4\.0;"):
+            evolve(np.array([[100j]]), np.ones(1, dtype=complex), 10.0, 1.0,
+                   probe=lambda t, psi: probed.append(t))
+        assert probed == [0.0, 1.0, 2.0, 3.0]
 
     def test_long_interval_matches_expm(self):
         # dt * norm_inf(H) = 5: no step-size bound, the interval is split
