@@ -278,15 +278,17 @@ class TestEvolve:
                    probe=lambda t, psi: probed.append(t))
         assert probed == []
 
-    def test_overflowing_state_raises_before_its_probe(self):
-        # exp(-i t H) psi0 = e^{100 t}: |psi|^2 passes the float range at
-        # t = 3.55, inside the fourth interval; numpy's overflow warning
-        # (an error in this suite) must not escape either
+    @pytest.mark.parametrize("dt,probes", [(1.0, [0.0, 1.0, 2.0, 3.0]), (10.0, [0.0])])
+    def test_overflowing_state_raises_before_its_probe(self, dt, probes):
+        # exp(-i t H) psi0 = e^{100 t}. With dt = 1, |psi|^2 passes the float
+        # range at t = 3.55 while psi stays finite; with dt = 10, psi itself
+        # overflows inside the first interval's Taylor series, and numpy's
+        # overflow warning (an error in this suite) must not escape.
         probed = []
-        with pytest.raises(NonFiniteState, match=r"at t = 4\.0;"):
-            evolve(np.array([[100j]]), np.ones(1, dtype=complex), 10.0, 1.0,
+        with pytest.raises(NonFiniteState, match=rf"at t = {probes[-1] + dt!r};"):
+            evolve(np.array([[100j]]), np.ones(1, dtype=complex), 30.0, dt,
                    probe=lambda t, psi: probed.append(t))
-        assert probed == [0.0, 1.0, 2.0, 3.0]
+        assert probed == probes
 
     def test_long_interval_matches_expm(self):
         # dt * norm_inf(H) = 5: no step-size bound, the interval is split
