@@ -34,7 +34,7 @@ from .ptgraph import (
     parity_matrix,
     parse_pt_spec,
 )
-from .scattering import solve_rt_direct, solve_rt_formula, spectrum
+from .scattering import dispersion, solve_rt_direct, solve_rt_formula, spectrum
 from .verify import SUITE_NAMES, run_suites
 from .wavepacket import WavepacketConfig, run_experiment
 
@@ -66,7 +66,8 @@ def _write_spectrum_csv(path: str, result) -> None:
 def _cmd_solve(args) -> int:
     text = _read_text(args.spec)
     center, lead = parse_network_spec(text)
-    print(f"spec sha256={_digest(text)}  k={args.k!r}  E={-2.0 * lead.kappa * math.cos(args.k)!r}")
+    energy = dispersion(args.k, lead.kappa)
+    print(f"spec sha256={_digest(text)}  k={args.k!r}  E={energy!r}")
     methods = ("formula", "direct") if args.method == "both" else (args.method,)
     solutions = []
     for method in methods:

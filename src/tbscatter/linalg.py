@@ -12,10 +12,15 @@ flops are matrix products as well.
 Matrices are plain numpy arrays of complex128. Two independent routes to the
 elements of an inverse are provided: the factorization route (``inverse``) and
 the cofactor/minor route (``inverse_element_cofactor``). Verification code
-compares them elementwise, so they must stay algorithmically separate.
+compares them elementwise, so they must stay algorithmically separate. The
+cofactor route never calls ``lu_factor``: it gathers the submatrices for all
+requested minors by index arrays and takes their determinants in one
+unblocked Gaussian elimination over the whole stack, with each member's own
+pivots and singularity test.
 
 Row/column arguments of ``minor_det`` and ``inverse_element_cofactor`` are
-1-based; the conversion to 0-based storage happens here and nowhere else.
+1-based integers or integer arrays; the conversion to 0-based storage happens
+here and nowhere else.
 """
 
 from __future__ import annotations
@@ -187,41 +192,97 @@ def inverse(a) -> np.ndarray:
     return lu_solve_factored(lu, perm, np.eye(lu.shape[0], dtype=np.complex128))
 
 
-def _check_indices(n: int, i: int, j: int) -> tuple[int, int]:
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexOutOfRange(f"indices ({i}, {j}) outside [1, {n}]")
+def _check_indices(n: int, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcast 1-based integer indices against each other; return 0-based."""
+    i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+    if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
+        raise TypeError("row and column indices must be integers")
+    outside = (i < 1) | (i > n) | (j < 1) | (j > n)
+    if outside.any():
+        k = int(np.flatnonzero(outside)[0])
+        raise IndexOutOfRange(f"indices ({i.flat[k]}, {j.flat[k]}) outside [1, {n}]")
     return i - 1, j - 1
 
 
-def minor_det(a, i: int, j: int) -> complex:
-    """Determinant of the submatrix with 1-based row i and column j deleted."""
+def _stacked_det(s: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices, shape (m, n, n); overwrites it.
+
+    One Gaussian elimination runs over the whole stack. Each member keeps its
+    own argmax pivot and its own singularity test, a pivot below
+    ``PIVOT_RTOL`` times the member's own ``norm_inf``. A member that fails
+    the test, or is zero, reads 0, as in ``det``; it is zeroed, so later
+    columns never divide by its small pivots.
+    """
+    count, n = s.shape[0], s.shape[1]
+    members = np.arange(count)
+    max_row = np.abs(s).sum(axis=2).max(axis=1, initial=0.0)
+    threshold = PIVOT_RTOL * max_row
+    dead = max_row == 0.0
+    sign = np.ones(count)
+    for col in range(n):
+        p = col + np.abs(s[:, col:, col]).argmax(axis=1)
+        pivot = s[members, p, col]
+        failed = ~dead & (np.abs(pivot) < threshold)
+        if failed.any():
+            dead |= failed
+            s[failed] = 0.0
+        swap = np.flatnonzero(p != col)
+        if swap.size:
+            row = s[swap, p[swap], col:].copy()
+            s[swap, p[swap], col:] = s[swap, col, col:]
+            s[swap, col, col:] = row
+            sign[swap] = -sign[swap]
+        below = s[:, col + 1 :, col] / np.where(dead, 1.0, pivot)[:, None]
+        s[:, col + 1 :, col + 1 :] -= below[:, :, None] * s[:, col, None, col + 1 :]
+    dets = sign * np.prod(np.diagonal(s, axis1=1, axis2=2), axis=1)
+    dets[dead] = 0.0
+    return dets
+
+
+def minor_det(a, i, j):
+    """Determinant of the submatrix with 1-based row i and column j deleted.
+
+    ``i`` and ``j`` may be integer arrays: they broadcast together, and the
+    result is an array of their shape. Plain ints give a complex scalar. The
+    submatrices are gathered by index arrays and all their determinants come
+    from one stacked elimination (``_stacked_det``), so a singular minor reads
+    0, as in ``det``.
+    """
     m = as_square_matrix(a)
     n = m.shape[0]
     if n < 2:
         raise DimensionMismatch("minor_det needs at least a 2x2 matrix")
     i0, j0 = _check_indices(n, i, j)
-    return det(np.delete(np.delete(m, i0, axis=0), j0, axis=1))
+    keep = np.arange(n - 1)
+    rows = keep + (keep >= i0[..., None])
+    cols = keep + (keep >= j0[..., None])
+    sub = m[rows[..., :, None], cols[..., None, :]]
+    dets = _stacked_det(sub.reshape(-1, n - 1, n - 1)).reshape(i0.shape)
+    return complex(dets) if dets.ndim == 0 else dets
 
 
-def inverse_element_cofactor(a, i: int, j: int, det_a: complex | None = None) -> complex:
+def inverse_element_cofactor(a, i, j, det_a: complex | None = None):
     """Element (i, j) of the inverse via the cofactor route.
 
     Computes ``(-1)**(i+j) * minor_det(a, j, i) / det(a)``. This is the
     deliberate second route to the inverse: O(n^5) for a full matrix, used on
-    small matrices for verification only. ``det_a``, when given, is
-    ``det(a)`` as already computed by ``det``, so that a caller taking many
-    elements of one matrix factors it once.
+    small matrices for verification only. ``i`` and ``j`` may be integer
+    arrays, as in ``minor_det``, so that one call takes many elements of one
+    matrix and factors it at most once. ``det_a``, when given, is ``det(a)``
+    as already computed by ``det``; then no ``lu_factor`` runs at all.
     """
     m = as_square_matrix(a)
     n = m.shape[0]
-    _check_indices(n, i, j)
+    i0, j0 = _check_indices(n, i, j)
     d = det(m) if det_a is None else complex(det_a)
     if d == 0:
         raise SingularMatrix("cofactor route needs a nonzero determinant")
     if n == 1:
-        return 1.0 / complex(m[0, 0])
-    sign = -1.0 if (i + j) % 2 else 1.0
-    return sign * minor_det(m, j, i) / d
+        elements = np.full(i0.shape, 1.0 / complex(m[0, 0]))
+    else:
+        sign = np.where((i0 + j0) % 2, -1.0, 1.0)
+        elements = sign * minor_det(m, j0 + 1, i0 + 1) / d
+    return complex(elements) if elements.ndim == 0 else elements
 
 
 # Columns per compact-WY panel of ``hessenberg``. On 256-site centers (2-vCPU

@@ -5,7 +5,10 @@ Three suites back the CLI ``verify`` command and the acceptance tests:
 * ``conservation``: the central identity 1 - |r|^2 - |t|^2 = 0 over random
   valid centers at arbitrary coupling strength, cross-agreement of the two
   solver paths, substitute-back residuals, and a negative control proving the
-  detector reads nonzero on deliberately broken centers.
+  detector reads nonzero on deliberately broken centers. A momentum where D is
+  too ill-conditioned for the absolute cross-solver bound, and the two routes
+  do drift apart, is named near-singular and left out of the cross-solver
+  checks only.
 * ``appendix``: reality of det(D), conjugate symmetry of the inverse elements
   on the joint-bearing block through two independent routes, Hermiticity of
   the Schur complement S_A(E) behind that symmetry, and reality of the scaled
@@ -71,6 +74,11 @@ MUTANT_DEFICIT_FLOOR = 1e-6
 # NEAR_SINGULAR_FRACTION of INVERSE_SYMMETRY_TOL, the absolute symmetry bound
 # would measure rounding rather than the identity, so the energy is named
 # near-singular and held to the route-agreement and S_A checks only.
+# The formula route's r, t and interior amplitudes are ratios of entries of
+# inv(D), so its error grows like cond_inf(D) * UNIT_ROUNDOFF. A momentum whose
+# cross-solver gap and that estimate both exceed NEAR_SINGULAR_FRACTION of
+# CROSS_SOLVER_TOL is named near-singular and left out of the two cross-solver
+# checks; the deficit and residual checks keep it.
 UNIT_ROUNDOFF = 2.0**-53
 NEAR_SINGULAR_FRACTION = 0.1
 
@@ -222,6 +230,11 @@ def _vector_gap(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.abs(x - y).max(initial=0.0)) / scale
 
 
+def _cond_inf(d: np.ndarray, inv: np.ndarray) -> float:
+    """cond_inf(D) = norm_inf(D) * norm_inf(inv(D)), given both."""
+    return linalg.norm_inf(d) * linalg.norm_inf(inv)
+
+
 def conservation_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
     """Current conservation, cross-solver agreement, substitute-back, control."""
     start = time.perf_counter()
@@ -230,24 +243,58 @@ def conservation_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
     cross_rt = _Worst()
     cross_interior = _Worst()
     residual = _Worst()
+    skipped_cond = _Worst()
+    skipped_rt = _Worst()
+    skipped_interior = _Worst()
+    skipped = 0
+    momenta = 0
+    drift = NEAR_SINGULAR_FRACTION * CROSS_SOLVER_TOL
     for trial in range(trials):
         center, lead = random_valid_center(center_rng)
         for _ in range(10):  # momenta per center
             k, sol_f, sol_d = _solve_both(center, lead, aux_rng)
             where = f"trial {trial}, k={k:.6f}"
+            momenta += 1
             deficit.update(abs(sol_f.deficit), where)
             deficit.update(abs(sol_d.deficit), where)
-            cross_rt.update(abs(sol_f.r - sol_d.r), where)
-            cross_rt.update(abs(sol_f.t - sol_d.t), where)
-            cross_interior.update(_vector_gap(sol_f.alpha, sol_d.alpha), where)
-            cross_interior.update(_vector_gap(sol_f.beta, sol_d.beta), where)
+            gap_rt = max(abs(sol_f.r - sol_d.r), abs(sol_f.t - sol_d.t))
+            gap_interior = max(
+                _vector_gap(sol_f.alpha, sol_d.alpha), _vector_gap(sol_f.beta, sol_d.beta)
+            )
+            cond_d = 0.0
+            if max(gap_rt, gap_interior) > drift:
+                d = assemble_delta(center, sol_d.energy)
+                cond_d = _cond_inf(d, linalg.inverse(d))
+            if cond_d * UNIT_ROUNDOFF > drift:
+                skipped += 1
+                skipped_cond.update(cond_d, where)
+                skipped_rt.update(gap_rt, where)
+                skipped_interior.update(gap_interior, where)
+            else:
+                cross_rt.update(gap_rt, where)
+                cross_interior.update(gap_interior, where)
             residual.update(schrodinger_residual(center, lead, sol_f), where)
             residual.update(schrodinger_residual(center, lead, sol_d), where)
     report = SuiteReport(suite="conservation", trials=trials, seed=seed)
     report.checks.append(deficit.check("max |1 - |r|^2 - |t|^2|", DEFICIT_TOL))
-    report.checks.append(cross_rt.check("max cross-solver |dr|, |dt|", CROSS_SOLVER_TOL))
+
+    def with_skips(check: CheckResult, largest: _Worst) -> CheckResult:
+        skips = f"near-singular momenta skipped: {skipped} of {momenta}"
+        if skipped:
+            skips += (
+                f", worst cond_inf(D) {skipped_cond.value:.2e} at {skipped_cond.where}, "
+                f"largest skipped gap {largest.value:.2e}"
+            )
+        return replace(check, detail="; ".join(filter(None, (check.detail, skips))))
+
     report.checks.append(
-        cross_interior.check("max cross-solver interior gap (scaled)", CROSS_SOLVER_TOL)
+        with_skips(cross_rt.check("max cross-solver |dr|, |dt|", CROSS_SOLVER_TOL), skipped_rt)
+    )
+    report.checks.append(
+        with_skips(
+            cross_interior.check("max cross-solver interior gap (scaled)", CROSS_SOLVER_TOL),
+            skipped_interior,
+        )
     )
     report.checks.append(residual.check("max substitute-back residual (scaled)", RESIDUAL_TOL))
     report.checks.extend(_negative_control_checks(aux_rng))
@@ -334,13 +381,10 @@ def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
         inv = linalg.inverse(delta)
         n_a = center.n_a
         lu = inv[:n_a, :n_a]
-        cof = np.array([
-            [linalg.inverse_element_cofactor(delta, i, j, det_a=det_val)
-             for j in range(1, n_a + 1)]
-            for i in range(1, n_a + 1)
-        ])
+        rows = np.arange(1, n_a + 1)
+        cof = linalg.inverse_element_cofactor(delta, rows[:, None], rows, det_a=det_val)
         energies += 1
-        cond_d = linalg.norm_inf(delta) * linalg.norm_inf(inv)
+        cond_d = _cond_inf(delta, inv)
         cond.update(cond_d, where)
         rounding = cond_d * float(np.abs(inv).max()) * UNIT_ROUNDOFF
         if rounding > NEAR_SINGULAR_FRACTION * INVERSE_SYMMETRY_TOL:
@@ -509,6 +553,8 @@ SUITE_NAMES = ("conservation", "appendix", "ptfold")
 def run_suites(names, trials: int, seed: int) -> list[SuiteReport]:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     reports = []
     for name in names:
         if name == "conservation":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -76,6 +77,21 @@ class TestSolve:
         code = run(["solve", "--spec", str(specs_dir / "uniform_chain.json"), "--k", "3.2"])
         assert code == 1
         assert "MomentumOutOfBand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["inf", "-inf", "nan"])
+    def test_non_finite_momentum_exits_one_before_output(self, specs_dir, capsys, k):
+        code = run(["solve", "--spec", str(specs_dir / "uniform_chain.json"), f"--k={k}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: MomentumOutOfBand: momentum ")
+
+    def test_header_energy_is_the_dispersion(self, specs_dir, capsys):
+        spec = specs_dir / "uniform_chain.json"
+        _, lead = parse_network_spec(spec.read_text(encoding="utf-8"))
+        assert run(["solve", "--spec", str(spec), "--k", "1.2", "--method", "direct"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.endswith(f"  k=1.2  E={-2.0 * lead.kappa * math.cos(1.2)!r}")
 
 
 class TestSpectrum:
@@ -193,6 +209,59 @@ class TestVerifyCommand:
         assert re.search(r"worst cond_inf\(D\) 2\.6\de\+06 at trial 7, E=-0\.296929", schur)
         lu_route = next(line for line in out.splitlines() if "(LU route)" in line)
         assert "trial 7," not in lu_route
+
+    @pytest.mark.parametrize(
+        "seed,where",
+        [(101336, "trial 16, k=2.347681"), (102809, "trial 1, k=0.857622"),
+         (1589801112, "trial 10, k=2.142368")],
+    )
+    def test_near_singular_momentum_is_named_not_failed(self, capsys, seed, where):
+        # cond_inf(D) is 2.5e8, 4.0e7 and 1.2e7 at these momenta: the formula
+        # route's rounding, u * cond, is above the cross-solver bound.
+        code = run(["verify", "--trials", "20", "--seed", str(seed), "--suite", "all"])
+        out = capsys.readouterr().out
+        assert code == 0
+        cross = [line for line in out.splitlines() if "cross-solver" in line]
+        assert len(cross) == 2
+        for line in cross:
+            assert re.search(
+                rf"near-singular momenta skipped: 1 of 200, worst cond_inf\(D\) "
+                rf"\S+ at {where}, largest skipped gap ", line
+            )
+            assert f"worst at {where};" not in line
+
+    @pytest.mark.parametrize("seed", [1, 724262123])
+    def test_well_conditioned_seeds_skip_nothing(self, capsys, seed):
+        code = run(["verify", "--trials", "20", "--seed", str(seed), "--suite", "conservation"])
+        out = capsys.readouterr().out
+        assert code == 0
+        cross = [line for line in out.splitlines() if "cross-solver" in line]
+        assert len(cross) == 2
+        assert all(line.endswith("; near-singular momenta skipped: 0 of 200") for line in cross)
+
+    def test_perturbed_formula_route_still_fails(self, capsys, monkeypatch):
+        # A 1e-9 error in r is far above any momentum's rounding estimate at
+        # this seed, so the skip rule must not hide it.
+        formula = tbscatter.verify.solve_rt_formula
+
+        def perturbed(*args, **kwargs):
+            sol = formula(*args, **kwargs)
+            return dataclasses.replace(sol, r=sol.r + 1e-9)
+
+        monkeypatch.setattr(tbscatter.verify, "solve_rt_formula", perturbed)
+        code = run(["verify", "--trials", "20", "--seed", "1", "--suite", "conservation"])
+        out = capsys.readouterr().out
+        assert code == 2
+        line = next(line for line in out.splitlines() if "cross-solver |dr|" in line)
+        assert line.startswith("  [FAIL]")
+        assert "near-singular momenta skipped: 0 of 200" in line
+
+    def test_negative_seed_exits_one(self, capsys):
+        code = run(["verify", "--trials", "2", "--seed", "-1", "--suite", "all"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
     @pytest.mark.parametrize("trials,suite", [("0", "all"), ("-3", "ptfold")])
     def test_trials_below_one_exit_one(self, capsys, trials, suite):

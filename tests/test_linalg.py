@@ -9,7 +9,7 @@ from tbscatter.errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
 
 from conftest import exceptional_point_center, random_delta_like
 from tbscatter.model import assemble_full_center_matrix
-from tbscatter.verify import random_hermitian, random_valid_center
+from tbscatter.verify import appendix_suite, random_hermitian, random_valid_center
 
 
 class TestLuSolve:
@@ -185,6 +185,106 @@ class TestMinorDet:
     def test_needs_two_by_two(self):
         with pytest.raises(DimensionMismatch):
             linalg.minor_det(np.eye(1), 1, 1)
+
+
+def deleted_minor(a, i, j):
+    """The reference minor: ``det`` of ``a`` with 1-based row i, column j deleted."""
+    return linalg.det(np.delete(np.delete(a, i - 1, axis=0), j - 1, axis=1))
+
+
+class TestStackedMinors:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_index_arrays_match_deleted_submatrices(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        idx = np.arange(1, n + 1)
+        got = linalg.minor_det(a, idx[:, None], idx)
+        ref = np.array([[deleted_minor(a, i, j) for j in idx] for i in idx])
+        assert got.shape == (n, n)
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_inverse_elements_match_scalar_calls_and_lu(self, n):
+        rng = np.random.default_rng(200 + n)
+        a = random_delta_like(rng, n // 2 + 1, n - n // 2 - 1, energy=0.3)
+        idx = np.arange(1, n + 1)
+        d = linalg.det(a)
+        got = linalg.inverse_element_cofactor(a, idx[:, None], idx, det_a=d)
+        scalar = [[linalg.inverse_element_cofactor(a, i, j, det_a=d) for j in idx] for i in idx]
+        np.testing.assert_array_equal(got, scalar)
+        inv = linalg.inverse(a)
+        assert np.abs(got - inv).max() <= 1e-10 * np.abs(inv).max()
+
+    def test_broadcast_shape_and_scalar_type(self):
+        a = np.arange(16.0).reshape(4, 4) + np.eye(4)
+        assert linalg.minor_det(a, [1, 3], 2).shape == (2,)
+        assert linalg.minor_det(a, np.array([[1], [2]]), [1, 2, 3]).shape == (2, 3)
+        assert type(linalg.minor_det(a, 2, 3)) is complex
+        assert type(linalg.inverse_element_cofactor(a, np.int64(2), 3)) is complex
+
+    def test_singular_member_reads_zero_beside_regular_ones(self):
+        # Rows 1 and 2 are equal: every minor that keeps both is exactly
+        # singular, every minor that drops one of them is not. Dividing by a
+        # dead member's pivot would warn, and warnings are errors here.
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        a[1] = a[0]
+        idx = np.arange(1, 6)
+        got = linalg.minor_det(a, idx[:, None], idx)
+        assert np.all(got[2:] == 0)
+        assert np.all(np.abs(got[:2]) > 1e-3)
+        ref = np.array([[deleted_minor(a, i, j) for j in idx] for i in idx[:2]])
+        np.testing.assert_allclose(got[:2], ref, rtol=1e-12)
+
+    def test_zero_matrix(self):
+        idx = np.arange(1, 4)
+        got = linalg.minor_det(np.zeros((3, 3)), idx[:, None], idx)
+        np.testing.assert_array_equal(got, np.zeros((3, 3)))
+
+    def test_one_by_one_minors_and_inverse(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0 + 1j]])
+        got = linalg.minor_det(a, [[1], [2]], [1, 2])
+        np.testing.assert_array_equal(got, [[4.0 + 1j, 3.0], [2.0, 1.0]])
+        one = linalg.inverse_element_cofactor(np.array([[4.0j]]), [[1]], [1, 1])
+        np.testing.assert_array_equal(one, [[-0.25j, -0.25j]])
+
+    def test_array_index_out_of_range_names_the_pair(self):
+        with pytest.raises(IndexOutOfRange, match=r"indices \(4, 2\) outside \[1, 3\]"):
+            linalg.minor_det(np.eye(3), [1, 4], 2)
+        with pytest.raises(IndexOutOfRange):
+            linalg.inverse_element_cofactor(np.eye(3), [[1], [2]], [0, 1])
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(TypeError, match="integers"):
+            linalg.minor_det(np.eye(3), 1.0, 2)
+
+    def test_minor_det_never_calls_lu_factor(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        a = random_delta_like(rng, 4, 3, energy=-0.5)
+        d = linalg.det(a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cofactor route called lu_factor")
+
+        monkeypatch.setattr(linalg, "lu_factor", refuse)
+        idx = np.arange(1, 8)
+        linalg.minor_det(a, idx[:, None], idx)
+        linalg.minor_det(a, 3, 5)
+        linalg.inverse_element_cofactor(a, idx[:, None], idx, det_a=d)
+
+    def test_appendix_suite_takes_one_minor_call_per_matrix(self, monkeypatch):
+        calls = 0
+        minor = linalg.minor_det
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return minor(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "minor_det", counted)
+        report = appendix_suite(trials=20, seed=1)
+        assert report.passed
+        assert 0 < calls <= 20
 
 
 class TestInverseElementCofactor:
