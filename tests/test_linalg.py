@@ -211,7 +211,7 @@ class TestStackedMinors:
         d = linalg.det(a)
         got = linalg.inverse_element_cofactor(a, idx[:, None], idx, det_a=d)
         scalar = [[linalg.inverse_element_cofactor(a, i, j, det_a=d) for j in idx] for i in idx]
-        np.testing.assert_array_equal(got, scalar)
+        np.testing.assert_allclose(got, scalar, rtol=1e-12)
         inv = linalg.inverse(a)
         assert np.abs(got - inv).max() <= 1e-10 * np.abs(inv).max()
 
