@@ -4,6 +4,7 @@ Subcommands: solve one momentum, sweep a spectrum to CSV, run the seeded
 verification suites, evaluate the 4-site example, fold a parity-symmetric
 graph spec into a network spec, and run the wavepacket oracle. Exit codes:
 0 success, 1 validation/parse error, 2 a verification suite failed.
+Only ``run`` prints; a command that exits 1 leaves stdout empty and no file.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ScatterError
@@ -41,129 +41,98 @@ from .wavepacket import WavepacketConfig, run_experiment
 CSV_HEADER = "k,T,R,deficit,status"
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _digest(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()[:16]
 
 
-def _print_solution(label: str, sol) -> None:
-    print(f"[{label}] r = {sol.r!r}")
-    print(f"[{label}] t = {sol.t!r}")
-    print(f"[{label}] T = {abs(sol.t) ** 2!r}  R = {abs(sol.r) ** 2!r}")
-    print(f"[{label}] deficit 1 - |r|^2 - |t|^2 = {sol.deficit!r}")
+def _solution_lines(label: str, sol) -> list[str]:
+    return [
+        f"[{label}] r = {sol.r!r}",
+        f"[{label}] t = {sol.t!r}",
+        f"[{label}] T = {abs(sol.t) ** 2!r}  R = {abs(sol.r) ** 2!r}",
+        f"[{label}] deficit 1 - |r|^2 - |t|^2 = {sol.deficit!r}",
+    ]
 
 
 def _write_spectrum_csv(path: str, result) -> None:
-    lines = [CSV_HEADER]
-    for p in result.entries:
-        lines.append(f"{p.k!r},{p.transmission!r},{p.reflection!r},{p.deficit!r},{p.status}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [f"{p.k!r},{p.transmission!r},{p.reflection!r},{p.deficit!r},{p.status}"
+            for p in result.entries]
+    Path(path).write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
 
 
-def _cmd_solve(args) -> int:
-    text = _read_text(args.spec)
+def _cmd_solve(args) -> tuple[int, list[str]]:
+    text = Path(args.spec).read_text(encoding="utf-8")
     center, lead = parse_network_spec(text)
     energy = dispersion(args.k, lead.kappa)
-    print(f"spec sha256={_digest(text)}  k={args.k!r}  E={energy!r}")
+    lines = [f"spec sha256={_digest(text)}  k={args.k!r}  E={energy!r}"]
     methods = ("formula", "direct") if args.method == "both" else (args.method,)
     solutions = []
     for method in methods:
         solver = solve_rt_formula if method == "formula" else solve_rt_direct
         sol = solver(center, lead, args.k)
-        _print_solution(method, sol)
+        lines += _solution_lines(method, sol)
         solutions.append(sol)
     if len(solutions) == 2:
         gap = max(abs(solutions[0].r - solutions[1].r), abs(solutions[0].t - solutions[1].t))
-        print(f"[both] max |formula - direct| in (r, t) = {gap!r}")
-    return 0
+        lines.append(f"[both] max |formula - direct| in (r, t) = {gap!r}")
+    return 0, lines
 
 
-def _cmd_spectrum(args) -> int:
-    text = _read_text(args.spec)
+def _cmd_spectrum(args) -> tuple[int, list[str]]:
+    text = Path(args.spec).read_text(encoding="utf-8")
     center, lead = parse_network_spec(text)
     result = spectrum(center, lead, args.k_min, args.k_max, args.steps)
     _write_spectrum_csv(args.out, result)
     flagged = sum(1 for p in result.entries if p.status != "ok")
-    print(f"spec sha256={_digest(text)}  wrote {len(result.entries)} points to {args.out}"
-          f" ({flagged} flagged; min pivot ratio {result.min_pivot_ratio:.3e},"
-          f" min |eta| {result.min_abs_eta:.3e}, {result.reference_points} by reference routes)")
-    return 0
+    return 0, [f"spec sha256={_digest(text)}  wrote {len(result.entries)} points to {args.out}"
+               f" ({flagged} flagged; min pivot ratio {result.min_pivot_ratio:.3e},"
+               f" min |eta| {result.min_abs_eta:.3e},"
+               f" {result.reference_points} by reference routes)"]
 
 
-@dataclass
-class RunReport:
-    """Echo of a verify invocation: every numeric claim names its tolerance."""
-
-    command: str
-    input_digest: str
-    suites: list
-    wall_time: float
-
-    @property
-    def passed(self) -> bool:
-        return all(suite.passed for suite in self.suites)
-
-    def render(self) -> str:
-        lines = [self.command, f"input sha256={self.input_digest}"]
-        for suite in self.suites:
-            lines.append(
-                f"suite {suite.suite}: trials={suite.trials} seed={suite.seed} "
-                f"elapsed={suite.elapsed:.2f}s"
-            )
-            for check in suite.checks:
-                mark = "PASS" if check.passed else "FAIL"
-                line = (
-                    f"  [{mark}] {check.name}: measured {check.measured:.6e} "
-                    f"(required {check.comparison} {check.tolerance:.6e})"
-                )
-                if check.detail:
-                    line += f"  {check.detail}"
-                lines.append(line)
-        lines.append(f"total wall time {self.wall_time:.2f}s")
-        return "\n".join(lines)
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, list[str]]:
+    """One line per check with its measured value and tolerance; the
+    benchmark's checks parse these lines, so their format is fixed."""
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     start = time.perf_counter()
     reports = run_suites(names, trials=args.trials, seed=args.seed)
-    run_report = RunReport(
-        command=f"verify trials={args.trials} seed={args.seed} suites={','.join(names)}",
-        input_digest=_digest(f"{args.trials}:{args.seed}:{args.suite}"),
-        suites=reports,
-        wall_time=time.perf_counter() - start,
-    )
-    print(run_report.render())
-    return 0 if run_report.passed else 2
+    lines = [f"verify trials={args.trials} seed={args.seed} suites={','.join(names)}",
+             f"input sha256={_digest(f'{args.trials}:{args.seed}:{args.suite}')}"]
+    for suite in reports:
+        lines.append(f"suite {suite.suite}: trials={suite.trials} seed={suite.seed} "
+                     f"elapsed={suite.elapsed:.2f}s")
+        for check in suite.checks:
+            line = (f"  [{'PASS' if check.passed else 'FAIL'}] {check.name}: measured "
+                    f"{check.measured:.6e} (required {check.comparison} {check.tolerance:.6e})")
+            lines.append(f"{line}  {check.detail}" if check.detail else line)
+    lines.append(f"total wall time {time.perf_counter() - start:.2f}s")
+    return (0 if all(suite.passed for suite in reports) else 2), lines
 
 
-def _cmd_example_four_site(args) -> int:
+def _cmd_example_four_site(args) -> tuple[int, list[str]]:
     params = FourSiteParams(args.gamma1, args.gamma2)
     matrix, lead = four_site_center(params)
-    k = args.k
-    print(f"four-site ring gamma1={params.gamma1!r} gamma2={params.gamma2!r} k={k!r}")
-    z = zeta(k, params)
-    print(f"zeta = {z!r}")
-    r, t = closed_form_rt(k, params)
-    print(f"[closed] r = {r!r}")
-    print(f"[closed] t = {t!r}")
-    print(f"[closed] T = {abs(t) ** 2!r}  deficit = {closed_form_deficit(k, params)!r}")
+    sol = solve_rt_direct(matrix, lead, args.k)
+    r, t = closed_form_rt(args.k, params)
+    lines = [
+        f"four-site ring gamma1={params.gamma1!r} gamma2={params.gamma2!r} k={args.k!r}",
+        f"zeta = {zeta(args.k, params)!r}",
+        f"[closed] r = {r!r}",
+        f"[closed] t = {t!r}",
+        f"[closed] T = {abs(t) ** 2!r}  deficit = {closed_form_deficit(args.k, params)!r}",
+    ]
     if params.gamma1 == params.gamma2:
-        print(f"[closed] balanced T(k) formula = {transmission_T(k, params.gamma1)!r}")
-    sol = solve_rt_direct(matrix, lead, k)
-    _print_solution("direct", sol)
+        lines.append(f"[closed] balanced T(k) formula = {transmission_T(args.k, params.gamma1)!r}")
+    lines += _solution_lines("direct", sol)
     if args.spectrum:
         result = spectrum(matrix, lead, args.k_min, args.k_max, args.steps)
         _write_spectrum_csv(args.spectrum, result)
-        print(f"wrote {args.steps} points to {args.spectrum}")
-    return 0
+        lines.append(f"wrote {args.steps} points to {args.spectrum}")
+    return 0, lines
 
 
-def _cmd_pt_fold(args) -> int:
-    text = _read_text(args.spec)
+def _cmd_pt_fold(args) -> tuple[int, list[str]]:
+    text = Path(args.spec).read_text(encoding="utf-8")
     spec = parse_pt_spec(text)
     lead = LeadAttachment(
         kappa=args.kappa,
@@ -172,22 +141,20 @@ def _cmd_pt_fold(args) -> int:
         joint_left=args.joint_left,
         joint_right=args.joint_right if args.joint_right is not None else spec.n1,
     )
-    h = assemble_hpt(spec)
-    defect = check_pt_symmetry(h, parity_matrix(spec))
+    defect = check_pt_symmetry(assemble_hpt(spec), parity_matrix(spec))
     flavor = "plain" if isinstance(spec, PTGraphSpec) else "generalized"
-    print(f"spec sha256={_digest(text)}  {flavor} graph n1={spec.n1} n2={spec.n2}")
-    print(f"parity-time defect of assembled matrix = {defect!r}"
-          + ("" if flavor == "plain" else "  (reported only)"))
     center = fold_generalized(spec, lead)
-    out_text = serialize_network_spec(center, lead)
-    Path(args.out).write_text(out_text, encoding="utf-8")
-    print(f"wrote folded network spec to {args.out} "
-          f"(n_a={center.n_a}, n_b={center.n_b})")
-    return 0
+    Path(args.out).write_text(serialize_network_spec(center, lead), encoding="utf-8")
+    return 0, [
+        f"spec sha256={_digest(text)}  {flavor} graph n1={spec.n1} n2={spec.n2}",
+        f"parity-time defect of assembled matrix = {defect!r}"
+        + ("" if flavor == "plain" else "  (reported only)"),
+        f"wrote folded network spec to {args.out} (n_a={center.n_a}, n_b={center.n_b})",
+    ]
 
 
-def _cmd_wavepacket(args) -> int:
-    text = _read_text(args.spec)
+def _cmd_wavepacket(args) -> tuple[int, list[str]]:
+    text = Path(args.spec).read_text(encoding="utf-8")
     center, lead = parse_network_spec(text)
     n = args.length
     x0 = args.x0 if args.x0 is not None else -n / 2.0
@@ -201,22 +168,23 @@ def _cmd_wavepacket(args) -> int:
 
     start = time.perf_counter()
     result = run_experiment(center, lead, config, probe=probe)
-    print(f"spec sha256={_digest(text)}  n={n} x0={x0!r} sigma={args.sigma!r} "
-          f"k0={args.k0!r} t_final={result['t_final']!r} dt={result['dt']!r}")
-    Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
     sol = solve_rt_direct(center, lead, args.k0)
-    print(f"wrote {len(rows) - 1} probe rows to {args.out} "
-          f"in {time.perf_counter() - start:.2f}s")
-    print(f"final p_left = {result['p_left']!r}  plane-wave R = {abs(sol.r) ** 2!r}")
-    print(f"final p_right = {result['p_right']!r}  plane-wave T = {abs(sol.t) ** 2!r}")
-    print(f"final total norm = {result['norm']!r}")
+    Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    lines = [
+        f"spec sha256={_digest(text)}  n={n} x0={x0!r} sigma={args.sigma!r} "
+        f"k0={args.k0!r} t_final={result['t_final']!r} dt={result['dt']!r}",
+        f"wrote {len(rows) - 1} probe rows to {args.out} in {time.perf_counter() - start:.2f}s",
+        f"final p_left = {result['p_left']!r}  plane-wave R = {abs(sol.r) ** 2!r}",
+        f"final p_right = {result['p_right']!r}  plane-wave T = {abs(sol.t) ** 2!r}",
+        f"final total norm = {result['norm']!r}",
+    ]
     if abs(result["norm"] - 1.0) > 0.1:
-        print(
+        lines.append(
             "warning: total norm is far from 1; growing eigenmodes of the finite "
             "non-Hermitian system likely dominate this run (increase |x0| and the "
             "chain length, or shorten t_final)"
         )
-    return 0
+    return 0, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,13 +255,15 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
     except ScatterError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print("\n".join(lines))
+    return code
 
 
 def main() -> None:

@@ -51,6 +51,7 @@ from .ptgraph import (
 )
 from .scattering import (
     coefficients_abc,
+    dispersion,
     schrodinger_residual,
     solve_rt_direct,
     solve_rt_formula,
@@ -368,7 +369,7 @@ def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
         center, lead = random_valid_center(center_rng)
         delta = None
         for _ in range(MAX_REDRAWS):
-            energy = -2.0 * lead.kappa * np.cos(_random_momentum(aux_rng))
+            energy = dispersion(_random_momentum(aux_rng), lead.kappa)
             d = assemble_delta(center, energy)
             det_val = linalg.det(d)
             if abs(det_val) > 0:
@@ -483,6 +484,7 @@ def ptfold_suite(trials: int = 100, seed: int = 1) -> SuiteReport:
     coupling_structure = _Worst()
     deficit = _Worst()
     folded_valid = 0
+    first_failure = ""
     for trial in range(trials):
         for flavor, make, do_fold in (
             ("plain", random_pt_spec, fold),
@@ -493,7 +495,11 @@ def ptfold_suite(trials: int = 100, seed: int = 1) -> SuiteReport:
             where = f"{flavor} trial {trial}"
             if flavor == "plain":
                 pt_defect.update(check_pt_symmetry(h, parity_matrix(spec)), where)
-            center = do_fold(spec)
+            try:
+                center = do_fold(spec)
+            except ScatterError as exc:
+                first_failure = first_failure or f"first failure at {where}: {type(exc).__name__}"
+                continue
             folded_valid += 1
             u = fold_unitary(spec)
             similarity.update(
@@ -528,6 +534,7 @@ def ptfold_suite(trials: int = 100, seed: int = 1) -> SuiteReport:
             measured=float(folded_valid),
             tolerance=float(2 * trials),
             comparison="==",
+            detail=first_failure,
         )
     )
     # The detector itself must flag asymmetry: unbalanced ring, parity 2<->4.

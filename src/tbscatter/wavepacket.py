@@ -88,6 +88,9 @@ class WavepacketConfig:
         t_final = None if self.t_final is None else float(self.t_final)
         if n < 200:
             raise InvalidConfig("chain_half_length must be at least 200")
+        for name, value in (("x0", x0), ("sigma", sigma), ("t_final", t_final)):
+            if value is not None and not math.isfinite(value):
+                raise InvalidConfig(f"{name} must be finite, got {value!r}")
         _check_packet_geometry(n, x0, sigma)
         if not (0.0 < k0 < math.pi):
             raise InvalidConfig("carrier momentum must lie in (0, pi)")

@@ -22,7 +22,11 @@ from tbscatter import (
     serialize_network_spec,
 )
 from tbscatter.cli import run
+from tbscatter.errors import NotHermitian
+from tbscatter.scattering import solve_rt_formula
 from tbscatter.verify import CheckResult, SuiteReport, random_hermitian
+
+from conftest import load_perfbench
 
 PACKAGE_PARENT = str(Path(tbscatter.__file__).resolve().parents[1])
 
@@ -282,6 +286,29 @@ class TestVerifyCommand:
         assert code == 2
         assert "[FAIL]" in out
 
+    def test_fold_that_fails_validation_fails_its_check(self, capsys, monkeypatch):
+        # The suite counts a fold that raises instead of letting the error
+        # end the run, so the structural-validation check can read FAIL.
+        fold = tbscatter.verify.fold
+        calls = []
+
+        def fails_once(spec, *args):
+            calls.append(spec)
+            if len(calls) == 1:
+                raise NotHermitian("H_A", 1.0)
+            return fold(spec, *args)
+
+        monkeypatch.setattr(tbscatter.verify, "fold", fails_once)
+        code = run(["verify", "--trials", "3", "--seed", "1", "--suite", "ptfold"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert len(calls) == 3
+        line = next(line for line in out.splitlines() if "structural validation" in line)
+        assert line == (
+            "  [FAIL] all folded centers pass structural validation: measured 5.000000e+00 "
+            "(required == 6.000000e+00)  first failure at plain trial 0: NotHermitian"
+        )
+
 
 class TestExampleCommand:
     def test_resonance_transmission(self, capsys):
@@ -461,6 +488,22 @@ class TestWavepacketCommand:
         assert "nan" not in (captured.out + captured.err).lower()
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--sigma", "nan"), ("--x0", "nan"), ("--t-final", "nan"), ("--t-final", "inf"),
+        ("--sigma", "inf"),
+    ])
+    def test_non_finite_geometry_is_named(self, specs_dir, tmp_path, capsys, flag, value):
+        # Named by its flag, not by the final packet position or the wall
+        # check that it would otherwise fail.
+        out = tmp_path / "probe.csv"
+        code = run(["wavepacket", "--spec", str(specs_dir / "four_site_folded.json"),
+                    "--k0", "1.0", f"{flag}={value}", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        field = flag[2:].replace("-", "_")
+        assert captured.err == f"error: InvalidConfig: {field} must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_zero_carrier_momentum_exits_one(self, specs_dir, tmp_path, capsys):
         code = run([
             "wavepacket", "--spec", str(specs_dir / "uniform_chain.json"),
@@ -500,3 +543,74 @@ class TestNonFiniteLeadValues:
         assert "nan" not in captured.out.lower()
         assert "must be finite" in captured.err
         assert caught == []
+
+
+class TestFailedCommandWritesNothing:
+    """A command that exits 1 leaves stdout empty and writes no output file.
+
+    ``solve --k inf``, ``verify --trials 0`` and non-finite wavepacket
+    geometry are held to the same contract in their commands' classes.
+    """
+
+    @pytest.mark.parametrize("argv,error", [
+        pytest.param(["spectrum", "--spec", "{specs}/uniform_chain.json", "--k-min", "nan",
+                      "--k-max", "2.0", "--steps", "5", "--out", "{out}"], "InvalidRange",
+                     id="spectrum-k-min-nan"),
+        pytest.param(["example", "four-site", "--gamma1", "1", "--gamma2", "1", "--k", "nan"],
+                     "MomentumOutOfBand", id="four-site-k-nan"),
+        pytest.param(["example", "four-site", "--gamma1", "1", "--gamma2", "1", "--k", "inf"],
+                     "MomentumOutOfBand", id="four-site-k-inf"),
+        pytest.param(["example", "four-site", "--gamma1", "1", "--gamma2", "1", "--k", "0"],
+                     "MomentumOutOfBand", id="four-site-k-0"),
+        pytest.param(["example", "four-site", "--gamma1", "1", "--gamma2", "1",
+                      "--spectrum", "{out}", "--k-min", "nan"], "InvalidRange",
+                     id="four-site-spectrum-k-min-nan"),
+        pytest.param(["pt", "fold", "--spec", "{specs}/four_site_pt.json", "--out", "{out}",
+                      "--joint-right", "3"], "JointOutsideAxis", id="pt-fold-joint-right-3"),
+    ])
+    def test_exits_one_with_a_named_error_only(self, specs_dir, tmp_path, capsys, argv, error):
+        out = tmp_path / "out.file"
+        code = run([arg.format(specs=specs_dir, out=out) for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: {error}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestBenchmarkChecksReadCliOutput:
+    """The benchmark's own checks accept what the CLI prints and writes, so
+    a change to a parsed format shows in tier-1 before a benchmark run."""
+
+    checks = load_perfbench("checks")
+    inputs = load_perfbench("inputs")
+
+    def test_verify_report(self, capsys):
+        code = run(["verify", "--trials", "3", "--suite", "all"])
+        assert self.checks.check_verify(code, capsys.readouterr().out) == []
+
+    def test_spectrum_csv(self, specs_dir, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run(["spectrum", "--spec", str(specs_dir / "four_site_folded.json"),
+                    *self.inputs.SWEEP_ARGS, "--out", str(out)])
+        capsys.readouterr()
+        text = out.read_text(encoding="utf-8") if out.exists() else None
+        assert self.checks.check_spectrum(code, text, self.inputs.SWEEP_STEPS) == []
+
+    def test_criterion_7_wavepacket(self, specs_dir, tmp_path, capsys):
+        spec = specs_dir / "four_site_folded.json"
+        center, lead = parse_network_spec(spec.read_text(encoding="utf-8"))
+        k0, sigma = self.inputs.CRITERION7_K0, self.inputs.WAVE_SIGMA
+        out = tmp_path / "probe.csv"
+        code = run(["wavepacket", "--spec", str(spec), "--k0", repr(k0),
+                    "--length", str(self.inputs.WAVE_LENGTH), "--sigma", repr(sigma),
+                    "--out", str(out)])
+
+        def solve_formula(k):
+            sol = solve_rt_formula(center, lead, k)
+            return sol.r, sol.t
+
+        text = out.read_text(encoding="utf-8") if out.exists() else None
+        problems = self.checks.check_wavepacket(code, capsys.readouterr().out, text,
+                                                "criterion7", k0, sigma, solve_formula)
+        assert problems == []

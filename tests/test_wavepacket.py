@@ -1,7 +1,5 @@
-import importlib.util
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,15 +30,7 @@ from tbscatter import (
 from tbscatter import linalg
 from tbscatter.verify import random_hermitian
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def load_perfbench(name: str):
-    """A benchmark module loaded by path, as the benchmark runs it."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def dense_finite_system(center, lead: LeadAttachment, n: int) -> np.ndarray:
