@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -511,9 +511,13 @@ def test_solve_agrees_with_numpy(a, b):
         elements=st.floats(min_value=-5, max_value=5, allow_nan=False),
     ),
 )
+# A subnormal matrix: numpy's det warns (divide, invalid) and gives no usable
+# value, which the filter rejects; its warnings must not fail the test.
+@example(a=np.zeros((3, 3)), b=np.where(np.eye(3)[0] * np.eye(3)[:, [0]], 0.0, 1.11253693e-308))
 def test_cofactor_route_matches_lu_route(a, b):
     m = a + 1j * b
-    assume(abs(np.linalg.det(m)) > 1e-3)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        assume(abs(np.linalg.det(m)) > 1e-3)
     inv = linalg.inverse(m)
     for i in range(1, 4):
         for j in range(1, 4):
