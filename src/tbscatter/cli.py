@@ -180,9 +180,9 @@ def _cmd_wavepacket(args) -> tuple[int, list[str]]:
     ]
     if abs(result["norm"] - 1.0) > 0.1:
         lines.append(
-            "warning: total norm is far from 1; growing eigenmodes of the finite "
-            "non-Hermitian system likely dominate this run (increase |x0| and the "
-            "chain length, or shorten t_final)"
+            "warning: total norm is far from 1; a growing mode of the non-Hermitian "
+            "center dominates this run (a longer chain does not remove it; a shorter "
+            "--t-final does help)"
         )
     return 0, lines
 

@@ -21,7 +21,11 @@ with a truncated Taylor series and scaling (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 488 (2011), Algorithm 3.2): substeps short enough that
 tau ||H||_1 <= 9.9, each summed to degree 55 at most, for a backward error
 of 2^-53 in exact arithmetic. The series needs only products with H and its
-1-norm, so it serves non-Hermitian centers as well.
+1-norm, so it serves non-Hermitian centers as well. Each product is written
+into one of two reused buffers, and the series' stopping test is evaluated
+exactly only when a cheap bound cannot rule it out. The state (bit for bit)
+and the number of products are those of the plain loop, which allocates
+every term and evaluates the test at every term.
 """
 
 from __future__ import annotations
@@ -48,6 +52,13 @@ _THETA = 9.9
 # of seconds even on criterion 7's 1,204 sites) a center entry is orders of
 # magnitude off, as in a mistyped spec, so evolve refuses the run up front.
 _MAX_SUBSTEPS = 100_000
+# Each state array holds 2 n + n_c complex values, 32 MB at n = 10^6 sites per
+# lead. With the default x0 = -n/2 the packet crosses n/2 sites at speed at
+# most 2 kappa while ||H||_1 >= 2 kappa, so such a run takes at least
+# n / 19.8 = 5 * 10^4 substeps of up to 55 products over 2 * 10^6 sites: hours
+# of work. A longer chain is a mistyped length, so WavepacketConfig refuses it
+# before anything is allocated.
+_MAX_CHAIN_HALF_LENGTH = 1_000_000
 
 __all__ = [
     "WavepacketConfig",
@@ -88,6 +99,9 @@ class WavepacketConfig:
         t_final = None if self.t_final is None else float(self.t_final)
         if n < 200:
             raise InvalidConfig("chain_half_length must be at least 200")
+        if n > _MAX_CHAIN_HALF_LENGTH:
+            raise InvalidConfig(f"chain_half_length must be at most {_MAX_CHAIN_HALF_LENGTH}, "
+                                f"got {n}")
         for name, value in (("x0", x0), ("sigma", sigma), ("t_final", t_final)):
             if value is not None and not math.isfinite(value):
                 raise InvalidConfig(f"{name} must be finite, got {value!r}")
@@ -118,24 +132,35 @@ class FiniteSystem:
         self.block = block
         self._window = slice(start, start + block.shape[0])
         self.shape = (bonds.shape[0] + 1,) * 2
+        self._bond_term = np.empty_like(bonds)
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
         y = np.empty_like(x)
-        np.multiply(self.bonds, x[1:], out=y[:-1])
-        y[-1] = 0.0
-        y[1:] += self.bonds * x[:-1]
-        y[self._window] += self.block @ x[self._window]
+        self._product(x, y)
         return y
+
+    def _product(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out = H x for complex x, with the second bond product in this
+        system's scratch array; out must not overlap x."""
+        np.multiply(self.bonds, x[1:], out=out[:-1])
+        out[-1] = 0.0
+        np.multiply(self.bonds, x[:-1], out=self._bond_term)
+        out[1:] += self._bond_term
+        out[self._window] += self.block @ x[self._window]
 
     def norm1(self) -> float:
         """Max absolute column sum of H."""
-        cols = np.zeros(self.shape[0])
+        return self._max_abs_sum(axis=0)
+
+    def _max_abs_sum(self, axis: int) -> float:
+        """Max absolute column (axis 0) or row (axis 1) sum of H."""
+        sums = np.zeros(self.shape[0])
         bonds = np.abs(self.bonds)
-        cols[1:] += bonds
-        cols[:-1] += bonds
-        cols[self._window] += np.abs(self.block).sum(axis=0)
-        return float(cols.max())
+        sums[1:] += bonds
+        sums[:-1] += bonds
+        sums[self._window] += np.abs(self.block).sum(axis=axis)
+        return float(sums.max())
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The dense H."""
@@ -190,23 +215,72 @@ def gaussian_packet(n: int, n_center: int, x0: float, sigma: float, k0: float) -
     return psi
 
 
-def _expm_multiply(h, psi, t: float, norm1: float) -> np.ndarray:
-    """exp(-i t h) psi for ``h`` with ||h||_1 = norm1 (Al-Mohy & Higham 2011,
+def _expm_multiply(product, psi, t: float, norm1: float, norm_inf: float) -> np.ndarray:
+    """exp(-i t H) psi, where ``product(x, out)`` writes H x into ``out`` and
+    norm1 and norm_inf are ||H||_1 and ||H||_inf (Al-Mohy & Higham 2011,
     Algorithm 3.2 without the shift): s = ceil(t norm1 / _THETA) substeps of
     the Taylor series, each cut off once two successive terms fall below
-    _TAYLOR_TOL * ||F||_inf, or at degree _TAYLOR_DEGREE."""
+    _TAYLOR_TOL * ||F||_inf, or at degree _TAYLOR_DEGREE.
+
+    Each term is formed in one of two reused buffers, and the cutoff test is
+    evaluated exactly only when a cheap bound cannot rule it out. The state
+    (bit for bit) and the number of products are those of the plain loop,
+    which forms term_k = (H @ term_{k-1}) * (-1j * tau_k) and evaluates
+    c_{k-1} + c_k <= _TAYLOR_TOL * max|F| with c_k = max|term_k| at every k.
+    """
     f = psi.copy()
     s = math.ceil(t * norm1 / _THETA)
+    buffers = (np.empty_like(f), np.empty_like(f))
+    # Why a skipped test would have failed. The exact test is c_{k-1} + c_k
+    # <= _TAYLOR_TOL * max|F| with c_k = max|term_k|; it is skipped only when
+    # lo_prev + lo > _TAYLOR_TOL * f_hi, where
+    #  - lo = max(|Re|, |Im|) of term_k at j, the index where |F| peaked at the
+    #    substep start. It is exact, and numpy's |z| (libm hypot, or the SIMD
+    #    form max * sqrt(1 + r^2)) is never below it, so lo <= c_k. lo_prev is
+    #    the same bound on c_{k-1}, or c_{k-1} itself.
+    #  - hi >= c_k, from |(H x)_i| <= ||H||_inf max|x| and the bound on c_{k-1},
+    #    and f_hi >= max|F| after F += term_k, by the triangle inequality. Both
+    #    restart from exact values. ``grow`` covers the rounding of the product
+    #    (rows of at most n terms, about (3n + 14) u relative), of the scaling,
+    #    the sum and |.|, and of the bounds' own arithmetic; 2^-1000 covers the
+    #    absolute error of underflow.
+    # Rounding is monotone, so fl(c_{k-1} + c_k) >= fl(lo_prev + lo) >
+    # fl(_TAYLOR_TOL * f_hi) >= fl(_TAYLOR_TOL * max|F|): the exact test fails.
+    # nan and inf take the exact path, because every comparison with nan is
+    # false and so is x > inf. hi takes the factor norm_inf before tau, so an
+    # overflow in H x, in the scaled term or in F overflows hi or f_hi as well
+    # (they bound the overflowing value with room to spare). A nan in the
+    # state comes from an earlier inf, or it was there at the substep start
+    # and makes both bounds nan.
+    grow = 1.0 + 1e-12 + f.size * 2.0**-51
     for _ in range(s):
-        term = f
-        c1 = np.abs(term).max()
+        mag = np.abs(f)
+        j = int(mag.argmax())
+        c1 = lo_prev = hi = f_hi = float(mag[j])
+        prev = f
         for k in range(1, _TAYLOR_DEGREE + 1):
-            term = (h @ term) * (-1j * (t / (s * k)))
-            c2 = np.abs(term).max()
+            tau = t / (s * k)
+            term = buffers[k & 1]
+            product(prev, term)
+            term *= -1j * tau
             f += term
-            if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
-                break
-            c1 = c2
+            z = term.item(j)
+            lo = max(abs(z.real), abs(z.imag))
+            hi = hi * norm_inf * grow * tau
+            f_hi = (f_hi + hi) * grow + 2.0**-1000
+            if lo_prev + lo > _TAYLOR_TOL * f_hi:
+                c1 = None
+            else:
+                if c1 is None:
+                    c1 = float(np.abs(prev).max())
+                c2 = float(np.abs(term).max())
+                f_max = float(np.abs(f).max())
+                if c1 + c2 <= _TAYLOR_TOL * f_max:
+                    break
+                c1 = lo = hi = c2
+                f_hi = f_max
+            lo_prev = lo
+            prev = term
     return f
 
 
@@ -225,10 +299,15 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
     norm that is not finite (a growing mode has overflowed), before probing it.
     """
     if isinstance(h, FiniteSystem):
-        norm1 = h.norm1()
+        norm1, norm_inf, product = h.norm1(), h._max_abs_sum(axis=1), h._product
     else:
         h = linalg.as_square_matrix(h)
-        norm1 = float(np.abs(h).sum(axis=0).max(initial=0.0))
+        mag = np.abs(h)
+        norm1 = float(mag.sum(axis=0).max(initial=0.0))
+        norm_inf = float(mag.sum(axis=1).max(initial=0.0))
+
+        def product(x, out):
+            np.matmul(h, x, out=out)
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     if psi.shape != (h.shape[0],):
         raise DimensionMismatch(f"state length {psi.shape} does not match {h.shape}")
@@ -249,7 +328,7 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
         t_next = t_final if i == intervals else i * dt
         # An overflow inside the series is caught below, by the norm it leaves.
         with np.errstate(over="ignore", invalid="ignore"):
-            psi = _expm_multiply(h, psi, t_next - t, norm1)
+            psi = _expm_multiply(product, psi, t_next - t, norm1, norm_inf)
         t = t_next
         if not math.isfinite(np.vdot(psi, psi).real):
             raise NonFiniteState(f"the state's norm is not finite at t = {t!r}; a growing "

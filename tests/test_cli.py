@@ -488,6 +488,40 @@ class TestWavepacketCommand:
         assert "nan" not in (captured.out + captured.err).lower()
         assert not out.exists()
 
+    def test_growing_mode_warning_points_at_the_center(self, specs_dir, tmp_path, capsys):
+        # At length 600 the gamma = 2 ring's bound state at E = 1.1547i has
+        # grown the norm to 5.8e130 by the default stop; it is a mode of the
+        # center, so the advice is a shorter run, not a longer chain.
+        doc = json.loads((specs_dir / "four_site_folded.json").read_text(encoding="utf-8"))
+        doc["H_AB"][2][0] = [0.0, 2.0]
+        spec = tmp_path / "ring.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["wavepacket", "--spec", str(spec), "--k0", "1.0", "--length", "600",
+                    "--out", str(tmp_path / "probe.csv")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line.split(" =")[0] for line in lines[2:5]] == [
+            "final p_left", "final p_right", "final total norm"]
+        assert extract(r"final total norm = ([0-9.e+-]+)", lines[4]) > 1e100
+        assert lines[5:] == [
+            "warning: total norm is far from 1; a growing mode of the non-Hermitian center "
+            "dominates this run (a longer chain does not remove it; a shorter --t-final "
+            "does help)"
+        ]
+
+    def test_absurd_length_is_refused_before_allocation(self, specs_dir, tmp_path, capsys):
+        # 10^12 sites per lead would need 32 TB per state array.
+        out = tmp_path / "probe.csv"
+        code = run(["wavepacket", "--spec", str(specs_dir / "uniform_chain.json"),
+                    "--k0", "1.0", "--length", str(10**12), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "error: InvalidConfig: chain_half_length must be at most 1000000, "
+            "got 1000000000000\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--sigma", "nan"), ("--x0", "nan"), ("--t-final", "nan"), ("--t-final", "inf"),
         ("--sigma", "inf"),

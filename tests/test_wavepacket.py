@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from tbscatter import (
     solve_rt_direct,
     solve_rt_formula,
 )
-from tbscatter import linalg
+from tbscatter import linalg, wavepacket
 from tbscatter.verify import random_hermitian
 
 from conftest import load_perfbench
@@ -46,6 +47,24 @@ def dense_finite_system(center, lead: LeadAttachment, n: int) -> np.ndarray:
     m[jl, n - 1], m[n - 1, jl] = -lead.g_left, -lead.g_left.conjugate()
     m[jr, n + nc], m[n + nc, jr] = -lead.g_right, -lead.g_right.conjugate()
     return m
+
+
+def reference_expm_multiply(h, psi, t: float, norm1: float) -> np.ndarray:
+    """The plain Taylor loop, the reference for ``wavepacket._expm_multiply``:
+    a new array per term and the exact cutoff test at every term."""
+    f = psi.copy()
+    s = math.ceil(t * norm1 / wavepacket._THETA)
+    for _ in range(s):
+        term = f
+        c1 = np.abs(term).max()
+        for k in range(1, wavepacket._TAYLOR_DEGREE + 1):
+            term = (h @ term) * (-1j * (t / (s * k)))
+            c2 = np.abs(term).max()
+            f += term
+            if c1 + c2 <= wavepacket._TAYLOR_TOL * np.abs(f).max():
+                break
+            c1 = c2
+    return f
 
 
 def operator_cases():
@@ -137,6 +156,21 @@ class TestBuildFiniteSystem:
         expected = evolve(np.asarray(op), psi0, 3.0, 1.0)
         got = evolve(op, psi0, 3.0, 1.0)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+class TestWavepacketConfig:
+    @pytest.mark.parametrize("n,accepted", [(10**6, True), (10**6 + 1, False)])
+    def test_chain_length_limit(self, n, accepted):
+        # Only the config is built: nothing of length n is allocated.
+        def config():
+            return WavepacketConfig(chain_half_length=n, x0=-300.0, sigma=15.0, k0=1.0)
+
+        if accepted:
+            assert config().chain_half_length == n
+        else:
+            with pytest.raises(InvalidConfig, match=rf"chain_half_length must be at most "
+                                                    rf"1000000, got {n}$"):
+                config()
 
 
 class TestGaussianPacket:
@@ -243,14 +277,14 @@ class TestEvolve:
         # H over its 200 probe intervals; more means the substep rule or the
         # Taylor cutoff went slack.
         products = 0
-        matmul = FiniteSystem.__matmul__
+        product = FiniteSystem._product
 
-        def counted(self, x):
+        def counted(self, x, out):
             nonlocal products
             products += 1
-            return matmul(self, x)
+            product(self, x, out)
 
-        monkeypatch.setattr(FiniteSystem, "__matmul__", counted)
+        monkeypatch.setattr(FiniteSystem, "_product", counted)
         center, lead = folded_four_site(FourSiteParams(1.0, 1.0))
         config = WavepacketConfig(chain_half_length=600, x0=-300.0, sigma=15.0, k0=math.pi / 3)
         result = run_experiment(center, lead, config)
@@ -288,6 +322,84 @@ class TestEvolve:
         expected = expm(-1j * 2.0 * dt * h) @ psi0
         got = evolve(h, psi0, 2.0 * dt, dt)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class CountedProducts:
+    """H for the reference loop, counting its products."""
+
+    def __init__(self, h):
+        self.h, self.calls = h, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.h @ x
+
+
+def taylor_loop_cases():
+    """Hermitian and non-Hermitian systems, each as a ``FiniteSystem`` and as
+    a dense array, at t ||H||_1 = 0.3, 4, 29.8 and 100, from a random state
+    and from a packet at k0 = pi/2, where the peak of |psi| sits on a site
+    whose next term is small; plus a zero H and states that overflow inside
+    the interval."""
+    rng = np.random.default_rng(30)
+    n = 60
+    lead = LeadAttachment(kappa=0.8, g_left=0.6 + 0.2j, g_right=-0.7 + 0.3j, joint_left=1,
+                          joint_right=3)
+    hermitian = random_hermitian(rng, 3)
+    systems = {
+        "hermitian": build_finite_system(build_center(hermitian), lead, n),
+        "non-hermitian": build_finite_system(
+            hermitian + 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))),
+            lead, n),
+    }
+    states = {
+        "random": rng.standard_normal(2 * n + 3) + 1j * rng.standard_normal(2 * n + 3),
+        "packet at pi/2": gaussian_packet(n, 3, -30.0, 5.0, math.pi / 2),
+    }
+    cases = []
+    for (kind, op), (state, psi) in itertools.product(systems.items(), states.items()):
+        for t_norm1 in (0.3, 4.0, 29.8, 100.0):
+            t = t_norm1 / op.norm1()
+            for form, h in (("operator", op), ("dense", np.asarray(op))):
+                cases.append(pytest.param(h, psi, t, False,
+                                          id=f"{kind} {form}, {state}, t|H|_1={t_norm1}"))
+    zero = FiniteSystem(np.zeros(4, dtype=complex), np.zeros((2, 2), dtype=complex), 1)
+    cases.append(pytest.param(zero, states["random"][:5], 1.0, False, id="zero operator"))
+    cases.append(pytest.param(np.zeros((5, 5)), states["random"][:5], 1.0, False, id="zero dense"))
+    gain = build_finite_system(build_center(hermitian), lead, n)
+    gain.block[2, 2] = 40j
+    cases.append(pytest.param(gain, states["random"], 20.0, True, id="overflowing operator"))
+    cases.append(pytest.param(np.array([[100j]]), np.ones(1, dtype=complex), 10.0, True,
+                              id="overflowing dense"))
+    return cases
+
+
+class TestTaylorLoop:
+    @pytest.mark.parametrize("h,psi,t,overflows", taylor_loop_cases())
+    def test_matches_plain_loop_bit_for_bit(self, h, psi, t, overflows):
+        if isinstance(h, FiniteSystem):
+            norm1, norm_inf, product = h.norm1(), h._max_abs_sum(axis=1), h._product
+        else:
+            norm1, norm_inf = np.abs(h).sum(axis=0).max(), linalg.norm_inf(h)
+
+            def product(x, out):
+                np.matmul(h, x, out=out)
+
+        calls = 0
+
+        def counted(x, out):
+            nonlocal calls
+            calls += 1
+            product(x, out)
+
+        reference = CountedProducts(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_expm_multiply(reference, psi, t, norm1)
+            got = wavepacket._expm_multiply(counted, psi, t, norm1, norm_inf)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert calls == reference.calls
+        assert (calls > 0) == (norm1 > 0.0)
+        assert np.all(np.isfinite(got)) != overflows
 
 
 class TestMeasurePartition:
