@@ -142,7 +142,7 @@ class FiniteSystem:
 
     def _product(self, x: np.ndarray, out: np.ndarray) -> None:
         """out = H x for complex x, with the second bond product in this
-        system's scratch array; out must not overlap x."""
+        system's work array; out must not overlap x."""
         np.multiply(self.bonds, x[1:], out=out[:-1])
         out[-1] = 0.0
         np.multiply(self.bonds, x[:-1], out=self._bond_term)

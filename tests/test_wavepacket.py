@@ -338,9 +338,9 @@ class CountedProducts:
 def taylor_loop_cases():
     """Hermitian and non-Hermitian systems, each as a ``FiniteSystem`` and as
     a dense array, at t ||H||_1 = 0.3, 4, 29.8 and 100, from a random state
-    and from a packet at k0 = pi/2, where the peak of |psi| sits on a site
-    whose next term is small; plus a zero H and states that overflow inside
-    the interval."""
+    and from a packet at k0 = pi/2, where H psi nearly cancels at the peak of
+    |psi|, so the lower bound read there is loose; plus a zero H and states
+    that overflow inside the interval."""
     rng = np.random.default_rng(30)
     n = 60
     lead = LeadAttachment(kappa=0.8, g_left=0.6 + 0.2j, g_right=-0.7 + 0.3j, joint_left=1,
