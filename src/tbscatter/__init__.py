@@ -52,7 +52,6 @@ from .scattering import (
     spectrum,
 )
 from .ptgraph import (
-    GeneralPTGraphSpec,
     PTGraphSpec,
     assemble_hpt,
     check_pt_symmetry,

@@ -27,7 +27,6 @@ from .four_site import (
 )
 from .model import LeadAttachment, parse_network_spec, serialize_network_spec
 from .ptgraph import (
-    PTGraphSpec,
     assemble_hpt,
     check_pt_symmetry,
     fold_generalized,
@@ -142,7 +141,7 @@ def _cmd_pt_fold(args) -> tuple[int, list[str]]:
         joint_right=args.joint_right if args.joint_right is not None else spec.n1,
     )
     defect = check_pt_symmetry(assemble_hpt(spec), parity_matrix(spec))
-    flavor = "plain" if isinstance(spec, PTGraphSpec) else "generalized"
+    flavor = "plain" if spec.is_real else "generalized"
     center = fold_generalized(spec, lead)
     Path(args.out).write_text(serialize_network_spec(center, lead), encoding="utf-8")
     return 0, [

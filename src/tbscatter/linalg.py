@@ -159,8 +159,7 @@ def lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b) -> np.ndarray:
     if x.shape[0] != n:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
     x = x[perm].copy()
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
+    _unit_lower_solve(lu, x)
     for i in range(n - 1, -1, -1):
         if i + 1 < n:
             x[i] -= lu[i, i + 1 :] @ x[i + 1 :]

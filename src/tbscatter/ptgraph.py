@@ -11,10 +11,10 @@ contributes D = i diag(Im V) to the site-basis Hamiltonian
      [ W^dag,  conj(C),  S - D  ]]
 
 with axis block G, pair block S, intra-pair block C and axis-pair coupling W.
-Real parts of V belong in S's diagonal, like the axis potentials in G. For
-the real-symmetric flavor conj(C) = C; the generalized flavor allows G, S, C
-complex Hermitian and W complex, at the price of losing the parity-time
-symmetry of the assembled matrix whenever hoppings are not real.
+Real parts of V belong in S's diagonal, like the axis potentials in G. G, S
+and C are complex Hermitian and W is complex. When all four are real (the
+plain case, ``PTGraphSpec.is_real``) conj(C) = C and the assembled matrix is
+parity-time symmetric; complex hoppings lose that symmetry.
 
 Rotating every mirror pair to symmetric/antisymmetric combinations
 (u +/- l)/sqrt(2) block-diagonalizes the parity and yields
@@ -50,7 +50,6 @@ from .model import _matrix_field, _matrix_to_pairs, _number
 
 __all__ = [
     "PTGraphSpec",
-    "GeneralPTGraphSpec",
     "assemble_hpt",
     "parity_matrix",
     "check_pt_symmetry",
@@ -63,7 +62,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class GeneralPTGraphSpec:
+class PTGraphSpec:
     """Parity graph with complex Hermitian blocks and complex pair potentials ``v``.
 
     ``h_gamma`` (n1 x n1) carries the axis hoppings and on-axis potentials on
@@ -71,7 +70,7 @@ class GeneralPTGraphSpec:
     Re(v) on its diagonal if needed; ``h_gamma_alpha`` (n1 x n2) the axis-pair
     hoppings; ``h_alpha_beta`` (n2 x n2) the cross-pair hoppings. Only Im(v)
     enters the assembled matrix, as the balanced gain/loss diagonal. Blocks
-    are stored as complex128.
+    are stored as complex128; whether they are real is ``is_real``.
     """
 
     h_gamma: np.ndarray
@@ -118,24 +117,24 @@ class GeneralPTGraphSpec:
     def n2(self) -> int:
         return self.h_alpha.shape[0]
 
+    @property
+    def is_real(self) -> bool:
+        """True when the four blocks have zero imaginary part (the plain case:
+        the assembled matrix is parity-time symmetric). ``v`` may be complex."""
+        return _first_complex_block(self) is None
 
-class PTGraphSpec(GeneralPTGraphSpec):
-    """The real-symmetric case: the four blocks must have real entries.
 
-    Then conj(C) = C and the assembled matrix is parity-time symmetric. The
-    pair potentials ``v`` stay complex.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        for name, m in (
-            ("H_gamma", self.h_gamma),
-            ("H_alpha", self.h_alpha),
-            ("H_gamma_alpha", self.h_gamma_alpha),
-            ("H_alpha_beta", self.h_alpha_beta),
-        ):
-            if m.imag.any():
-                raise ValueError(f"{name}: entries must be real in a plain spec")
+def _first_complex_block(spec: PTGraphSpec) -> str | None:
+    """Name of the first block with a nonzero imaginary entry, or None."""
+    for name, m in (
+        ("H_gamma", spec.h_gamma),
+        ("H_alpha", spec.h_alpha),
+        ("H_gamma_alpha", spec.h_gamma_alpha),
+        ("H_alpha_beta", spec.h_alpha_beta),
+    ):
+        if m.imag.any():
+            return name
+    return None
 
 
 def _gain_loss_diag(spec) -> np.ndarray:
@@ -146,8 +145,8 @@ def assemble_hpt(spec) -> np.ndarray:
     """Site-basis matrix of the graph, size n1 + 2 n2.
 
     Block layout: axis, pair members, mirror members. The mirror-mirror
-    cross block is the conjugate of the pair-pair one, which for the
-    real-symmetric flavor is the same matrix.
+    cross block is the conjugate of the pair-pair one, which for a real spec
+    is the same matrix.
     """
     n1, n2 = spec.n1, spec.n2
     g, s, w, c = spec.h_gamma, spec.h_alpha, spec.h_gamma_alpha, spec.h_alpha_beta
@@ -226,7 +225,9 @@ def _fold_blocks(spec) -> ScatteringCenter:
     return build_center(h_a, h_b, h_ab)
 
 
-def _check_fold_joints(spec, lead: LeadAttachment | None) -> None:
+def _check_fold_input(spec, lead: LeadAttachment | None, caller: str) -> None:
+    if not isinstance(spec, PTGraphSpec):
+        raise TypeError(f"{caller} expects a PTGraphSpec")
     if lead is None:
         return
     if lead.joint_left > spec.n1 or lead.joint_right > spec.n1:
@@ -237,38 +238,37 @@ def _check_fold_joints(spec, lead: LeadAttachment | None) -> None:
 
 
 def fold(spec: PTGraphSpec, lead: LeadAttachment | None = None) -> ScatteringCenter:
-    """Fold a real-symmetric spec into a validated scattering center.
+    """Fold a plain (real-block) spec into a validated scattering center.
 
+    Raises ValueError naming the first block with a nonzero imaginary entry.
     The folded coupling is nonzero only on the gain/loss diagonal, so the
     center passes the Hermitian-block validation by construction. When a lead
     is given its joints must be axis sites.
     """
-    if not isinstance(spec, PTGraphSpec):
-        raise TypeError("fold expects a PTGraphSpec; use fold_generalized otherwise")
-    _check_fold_joints(spec, lead)
+    _check_fold_input(spec, lead, "fold")
+    name = _first_complex_block(spec)
+    if name is not None:
+        raise ValueError(f"{name}: entries must be real to fold a plain spec; "
+                         "use fold_generalized")
     return _fold_blocks(spec)
 
 
-def fold_generalized(
-    spec: GeneralPTGraphSpec, lead: LeadAttachment | None = None
-) -> ScatteringCenter:
-    """Fold a generalized (complex Hermitian) spec.
+def fold_generalized(spec: PTGraphSpec, lead: LeadAttachment | None = None) -> ScatteringCenter:
+    """Fold any spec, with complex Hermitian blocks allowed.
 
     The folded coupling D - i Im(C) is anti-Hermitian because i Im(C) is
-    Hermitian for Hermitian C; the result passes center validation. A plain
-    spec is the real case and folds to the same center as with ``fold``.
+    Hermitian for Hermitian C; the result passes center validation. A real
+    spec folds to the same center as with ``fold``.
     """
-    if not isinstance(spec, GeneralPTGraphSpec):
-        raise TypeError("fold_generalized expects a GeneralPTGraphSpec")
-    _check_fold_joints(spec, lead)
+    _check_fold_input(spec, lead, "fold_generalized")
     return _fold_blocks(spec)
 
 
 _PT_FIELDS = ("n1", "n2", "H_gamma", "H_alpha", "H_alpha_beta", "H_gamma_alpha", "V")
 
 
-def parse_pt_spec(text: str):
-    """Parse a PT graph document; returns PTGraphSpec or GeneralPTGraphSpec.
+def parse_pt_spec(text: str) -> PTGraphSpec:
+    """Parse a PT graph document.
 
     Plain documents hold real matrices (numbers); documents with
     ``"generalized": true`` hold complex matrices ([re, im] entries). V is
@@ -287,9 +287,8 @@ def parse_pt_spec(text: str):
         raise ParseError(f"field V: expected {n2} [re, im] pairs")
     v = np.array([_complex_pair(z, f"V[{j + 1}]") for j, z in enumerate(v_raw)])
     entry = _complex_pair if generalized else _number
-    spec_type = GeneralPTGraphSpec if generalized else PTGraphSpec
     # Document names lowercase to the spec's field names (H_gamma -> h_gamma).
-    return spec_type(
+    return PTGraphSpec(
         v=v,
         **{
             name.lower(): _matrix_field(doc[name], name, entry, shape)
@@ -304,8 +303,8 @@ def parse_pt_spec(text: str):
 
 
 def serialize_pt_spec(spec) -> str:
-    """Inverse of parse_pt_spec for both flavors."""
-    generalized = not isinstance(spec, PTGraphSpec)
+    """Inverse of parse_pt_spec: the plain format exactly when ``spec.is_real``."""
+    generalized = not spec.is_real
 
     def real_rows(m):
         return [[float(x) for x in row] for row in m.real]

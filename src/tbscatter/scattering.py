@@ -158,34 +158,37 @@ def _abc_from_joint_block(g_ll, g_lr, g_rl, g_rr, lead: LeadAttachment, eik) -> 
     return AbcCoefficients(a=a, b=b, b_tilde=b_tilde, c=c, eta=eta)
 
 
-def _joint_abc(lu, perm, lead: LeadAttachment, k: float) -> AbcCoefficients:
-    """Solve for the two joint columns of inv(D) on an existing factorization."""
+def _joint_abc(lu, perm, lead: LeadAttachment, k: float) -> tuple[AbcCoefficients, np.ndarray]:
+    """Solve for the two joint columns of inv(D) on an existing factorization;
+    returns the coefficients and the columns, shape (n, 2)."""
     jl = lead.joint_left - 1
     jr = lead.joint_right - 1
     rhs = np.zeros((lu.shape[0], 2), dtype=np.complex128)
     rhs[jl, 0] = 1.0
     rhs[jr, 1] = 1.0
     cols = linalg.lu_solve_factored(lu, perm, rhs)
-    return _abc_from_joint_block(cols[jl, 0], cols[jl, 1], cols[jr, 0], cols[jr, 1],
-                                 lead, cmath.exp(1j * k))
+    abc = _abc_from_joint_block(cols[jl, 0], cols[jl, 1], cols[jr, 0], cols[jr, 1],
+                                lead, cmath.exp(1j * k))
+    return abc, cols
 
 
 def coefficients_abc(center, lead: LeadAttachment, k: float) -> AbcCoefficients:
     """The scaled inverse elements at the joints and the denominator eta."""
     lu, perm, _, _ = _delta_lu(center, lead, k)
-    return _joint_abc(lu, perm, lead, k)
+    return _joint_abc(lu, perm, lead, k)[0]
 
 
 def solve_rt_formula(center, lead: LeadAttachment, k: float) -> ScatteringSolution:
     """Closed-form r, t through the inverse-element coefficients.
 
-    Interior amplitudes are then recovered by solving the center rows with the
-    known r, t on the source side. Raises PoleAtK when |eta| <= ETA_MIN and
-    SingularDelta when the shifted center matrix cannot be factorized.
+    The center rows read D x = g_L (e^{-ik} + r e^{ik}) e_L + g_R t e^{ik} e_R,
+    so the interior amplitudes x are the same two joint columns of inv(D)
+    combined with the known r, t: one factorization and one two-column solve
+    give everything. Raises PoleAtK when |eta| <= ETA_MIN and SingularDelta
+    when the shifted center matrix cannot be factorized.
     """
     lu, perm, n_joint, energy = _delta_lu(center, lead, k)
-    n = lu.shape[0]
-    abc = _joint_abc(lu, perm, lead, k)
+    abc, cols = _joint_abc(lu, perm, lead, k)
     if abs(abc.eta) <= ETA_MIN:
         raise PoleAtK(f"|eta| = {abs(abc.eta):.3e} at k={k}")
     eik = cmath.exp(1j * k)
@@ -193,10 +196,7 @@ def solve_rt_formula(center, lead: LeadAttachment, k: float) -> ScatteringSoluti
     a, b, bt, c = abc.a, abc.b, abc.b_tilde, abc.c
     r = (-b * bt + a * c - a * emik - c * eik + 1.0) / abc.eta
     t = 2j * bt * math.sin(k) / abc.eta
-    source = np.zeros(n, dtype=np.complex128)
-    source[lead.joint_left - 1] += lead.g_left * (emik + r * eik)
-    source[lead.joint_right - 1] += lead.g_right * (t * eik)
-    x = linalg.lu_solve_factored(lu, perm, source)
+    x = cols @ np.array([lead.g_left * (emik + r * eik), lead.g_right * (t * eik)])
     return ScatteringSolution(
         k=float(k),
         energy=energy,

@@ -40,7 +40,6 @@ from .model import (
     effective_hamiltonian,
 )
 from .ptgraph import (
-    GeneralPTGraphSpec,
     PTGraphSpec,
     assemble_hpt,
     check_pt_symmetry,
@@ -452,10 +451,10 @@ def random_pt_spec(rng: np.random.Generator) -> PTGraphSpec:
     )
 
 
-def random_general_pt_spec(rng: np.random.Generator) -> GeneralPTGraphSpec:
+def random_general_pt_spec(rng: np.random.Generator) -> PTGraphSpec:
     n1 = int(rng.integers(2, 5))  # 2..4 axis sites, 1..4 mirror pairs
     n2 = int(rng.integers(1, 5))
-    return GeneralPTGraphSpec(
+    return PTGraphSpec(
         h_gamma=random_hermitian(rng, n1),
         h_alpha=random_hermitian(rng, n2),
         h_gamma_alpha=rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2)),

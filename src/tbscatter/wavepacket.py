@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteState
 from .model import LeadAttachment, _center_matrix
 
@@ -287,7 +286,8 @@ def _expm_multiply(product, psi, t: float, norm1: float, norm_inf: float) -> np.
 def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
     """psi(t_final) = exp(-i t_final H) psi0, the solution of i dpsi/dt = H psi.
 
-    ``h`` is a ``FiniteSystem`` or a square array. ``dt`` is the output
+    ``h`` is a ``FiniteSystem``; a square array h is
+    ``FiniteSystem(np.zeros(n - 1, complex), h, 0)``. ``dt`` is the output
     interval, not an integrator step: each interval is one truncated-Taylor
     evaluation of exp(-i dt H) psi on products with H, accurate to a backward
     error of 2^-53 (the unit roundoff) in exact arithmetic, whatever
@@ -298,16 +298,9 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
     ``NonFiniteState`` at the end of the first interval whose state has a
     norm that is not finite (a growing mode has overflowed), before probing it.
     """
-    if isinstance(h, FiniteSystem):
-        norm1, norm_inf, product = h.norm1(), h._max_abs_sum(axis=1), h._product
-    else:
-        h = linalg.as_square_matrix(h)
-        mag = np.abs(h)
-        norm1 = float(mag.sum(axis=0).max(initial=0.0))
-        norm_inf = float(mag.sum(axis=1).max(initial=0.0))
-
-        def product(x, out):
-            np.matmul(h, x, out=out)
+    if not isinstance(h, FiniteSystem):
+        raise TypeError(f"evolve takes a FiniteSystem, got {type(h).__name__}")
+    norm1, norm_inf = h.norm1(), h._max_abs_sum(axis=1)
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     if psi.shape != (h.shape[0],):
         raise DimensionMismatch(f"state length {psi.shape} does not match {h.shape}")
@@ -328,7 +321,7 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
         t_next = t_final if i == intervals else i * dt
         # An overflow inside the series is caught below, by the norm it leaves.
         with np.errstate(over="ignore", invalid="ignore"):
-            psi = _expm_multiply(product, psi, t_next - t, norm1, norm_inf)
+            psi = _expm_multiply(h._product, psi, t_next - t, norm1, norm_inf)
         t = t_next
         if not math.isfinite(np.vdot(psi, psi).real):
             raise NonFiniteState(f"the state's norm is not finite at t = {t!r}; a growing "

@@ -356,6 +356,20 @@ class TestPtFoldCommand:
         assert code == 1
         assert "JointOutsideAxis" in capsys.readouterr().err
 
+    def test_generalized_document_with_real_entries_is_plain(self, specs_dir, tmp_path, capsys):
+        # Realness comes from the entries, not from the document's flag.
+        doc = json.loads((specs_dir / "four_site_pt.json").read_text(encoding="utf-8"))
+        for name in ("H_gamma", "H_alpha", "H_alpha_beta", "H_gamma_alpha"):
+            doc[name] = [[[x, 0.0] for x in row] for row in doc[name]]
+        doc["generalized"] = True
+        in_file = tmp_path / "general.json"
+        in_file.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["pt", "fold", "--spec", str(in_file), "--out", str(tmp_path / "folded.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0].endswith("  plain graph n1=2 n2=1")
+        assert lines[1] == "parity-time defect of assembled matrix = 0.0"
+
     def test_generalized_spec_folds_and_conserves(self, tmp_path, capsys):
         import numpy as np
 

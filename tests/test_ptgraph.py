@@ -6,7 +6,6 @@ import pytest
 
 from tbscatter import (
     FourSiteParams,
-    GeneralPTGraphSpec,
     JointOutsideAxis,
     LeadAttachment,
     NotHermitian,
@@ -187,15 +186,13 @@ class TestFoldGeneralized:
     def test_real_cross_block_reduces_to_plain_fold(self):
         rng = np.random.default_rng(14)
         plain = random_pt_spec(rng)
-        general = GeneralPTGraphSpec(
-            h_gamma=plain.h_gamma.astype(complex),
-            h_alpha=plain.h_alpha.astype(complex),
-            h_gamma_alpha=plain.h_gamma_alpha.astype(complex),
-            h_alpha_beta=plain.h_alpha_beta.astype(complex),
-            v=plain.v,
-        )
-        assert fold_generalized(general) == fold(plain)
+        assert plain.is_real
         assert fold_generalized(plain) == fold(plain)
+
+    @pytest.mark.parametrize("do_fold", [fold, fold_generalized])
+    def test_fold_rejects_other_types(self, do_fold):
+        with pytest.raises(TypeError, match=f"{do_fold.__name__} expects a PTGraphSpec"):
+            do_fold(folded_four_site(FourSiteParams(1.0, 1.0))[0])
 
     def test_similarity_oracle(self):
         rng = np.random.default_rng(15)
@@ -224,7 +221,7 @@ class TestFoldGeneralized:
 
     def test_rejects_non_hermitian_blocks(self):
         with pytest.raises(NotHermitian):
-            GeneralPTGraphSpec(
+            PTGraphSpec(
                 h_gamma=np.array([[0.0, 1.0], [0.5, 0.0]]),
                 h_alpha=np.zeros((1, 1)),
                 h_gamma_alpha=np.zeros((2, 1)),
@@ -232,15 +229,21 @@ class TestFoldGeneralized:
                 v=np.zeros(1),
             )
 
-    def test_plain_spec_rejects_imaginary_entries(self):
-        with pytest.raises(ValueError, match="H_gamma_alpha"):
-            PTGraphSpec(
-                h_gamma=np.zeros((2, 2)),
-                h_alpha=np.zeros((1, 1)),
-                h_gamma_alpha=np.array([[1.0 + 2.0j], [0.5j]]),
-                h_alpha_beta=np.zeros((1, 1)),
-                v=np.array([1j]),
-            )
+    def test_plain_fold_rejects_imaginary_entries(self):
+        spec = PTGraphSpec(
+            h_gamma=np.zeros((2, 2)),
+            h_alpha=np.zeros((1, 1)),
+            h_gamma_alpha=np.array([[1.0 + 2.0j], [0.5j]]),
+            h_alpha_beta=np.zeros((1, 1)),
+            v=np.array([1j]),
+        )
+        assert not spec.is_real
+        with pytest.raises(ValueError) as excinfo:
+            fold(spec)
+        assert str(excinfo.value) == (
+            "H_gamma_alpha: entries must be real to fold a plain spec; use fold_generalized"
+        )
+        assert fold_generalized(spec).h_a[:2, 2:].imag.any()
 
 
 class TestPtSpecDocuments:
@@ -249,7 +252,7 @@ class TestPtSpecDocuments:
         spec = random_pt_spec(rng)
         text = serialize_pt_spec(spec)
         spec2 = parse_pt_spec(text)
-        assert isinstance(spec2, PTGraphSpec)
+        assert spec2.is_real
         np.testing.assert_array_equal(spec2.h_gamma, spec.h_gamma)
         np.testing.assert_array_equal(spec2.v, spec.v)
         assert serialize_pt_spec(spec2) == text
@@ -259,9 +262,23 @@ class TestPtSpecDocuments:
         spec = random_general_pt_spec(rng)
         text = serialize_pt_spec(spec)
         spec2 = parse_pt_spec(text)
-        assert isinstance(spec2, GeneralPTGraphSpec)
+        assert not spec2.is_real
         np.testing.assert_array_equal(spec2.h_gamma_alpha, spec.h_gamma_alpha)
         assert serialize_pt_spec(spec2) == text
+
+    def test_generalized_document_with_real_entries_is_plain(self):
+        spec = random_pt_spec(np.random.default_rng(20))
+        doc = json.loads(serialize_pt_spec(spec))
+        for name in ("H_gamma", "H_alpha", "H_alpha_beta", "H_gamma_alpha"):
+            doc[name] = [[[x, 0.0] for x in row] for row in doc[name]]
+        doc["generalized"] = True
+        spec2 = parse_pt_spec(json.dumps(doc))
+        assert spec2.is_real
+        text = serialize_pt_spec(spec2)
+        assert "generalized" not in json.loads(text)
+        spec3 = parse_pt_spec(text)
+        for name in ("h_gamma", "h_alpha", "h_alpha_beta", "h_gamma_alpha", "v"):
+            np.testing.assert_array_equal(getattr(spec3, name), getattr(spec, name))
 
     def test_shipped_document_matches_ring(self, specs_dir):
         text = (specs_dir / "four_site_pt.json").read_text(encoding="utf-8")

@@ -233,7 +233,7 @@ class TestDeficit:
             )
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(
     h_a_seed=arrays(np.float64, (3, 3), elements=st.floats(-3, 3)),
     h_a_imag=arrays(np.float64, (3, 3), elements=st.floats(-3, 3)),

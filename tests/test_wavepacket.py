@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from tbscatter import (
-    DimensionMismatch,
     FiniteSystem,
     FourSiteParams,
     InvalidConfig,
@@ -47,6 +46,12 @@ def dense_finite_system(center, lead: LeadAttachment, n: int) -> np.ndarray:
     m[jl, n - 1], m[n - 1, jl] = -lead.g_left, -lead.g_left.conjugate()
     m[jr, n + nc], m[n + nc, jr] = -lead.g_right, -lead.g_right.conjugate()
     return m
+
+
+def as_operator(h) -> FiniteSystem:
+    """A square array as the operator ``evolve`` takes: no bonds, one block."""
+    h = np.asarray(h, dtype=complex)
+    return FiniteSystem(np.zeros(h.shape[0] - 1, dtype=complex), h, 0)
 
 
 def reference_expm_multiply(h, psi, t: float, norm1: float) -> np.ndarray:
@@ -148,12 +153,12 @@ class TestBuildFiniteSystem:
         assert op.norm1() == np.abs(dense).sum(axis=0).max()
         assert np.count_nonzero(op) == np.count_nonzero(dense)
 
-    def test_operator_and_dense_form_evolve_alike(self):
+    def test_operator_and_its_dense_block_evolve_alike(self):
         center, lead, n = operator_cases()["center with n_b > 0"]
         op = build_finite_system(center, lead, n)
         rng = np.random.default_rng(7)
         psi0 = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-        expected = evolve(np.asarray(op), psi0, 3.0, 1.0)
+        expected = evolve(as_operator(np.asarray(op)), psi0, 3.0, 1.0)
         got = evolve(op, psi0, 3.0, 1.0)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -208,12 +213,12 @@ class TestGaussianPacket:
 class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
         psi0 = np.array([1.0, 1j]) / math.sqrt(2)
-        psi = evolve(np.zeros((2, 2)), psi0, 5.0, 0.5)
+        psi = evolve(as_operator(np.zeros((2, 2))), psi0, 5.0, 0.5)
         np.testing.assert_array_equal(psi, psi0)
 
     def test_single_site_phase(self):
         u = 1.0
-        psi = evolve(np.array([[u]]), np.array([1.0 + 0j]), 1.0, 0.005)
+        psi = evolve(as_operator([[u]]), np.array([1.0 + 0j]), 1.0, 0.005)
         assert abs(psi[0] - np.exp(-1j * u)) <= 1e-10
 
     def test_norm_conserved_on_hermitian_chain(self):
@@ -224,25 +229,27 @@ class TestEvolve:
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-8
 
     @pytest.mark.parametrize(
-        "h,error",
+        "h",
         [
-            (np.zeros((2, 3)), DimensionMismatch),
-            (np.zeros(2), DimensionMismatch),
-            (np.array([[0.0, np.nan], [np.nan, 0.0]]), ValueError),
-            (np.array([[np.inf, 0.0], [0.0, 0.0]]), ValueError),
+            np.zeros((2, 3)),
+            np.zeros(2),
+            np.array([[0.0, np.nan], [np.nan, 0.0]]),
+            np.array([[np.inf, 0.0], [0.0, 0.0]]),
         ],
     )
-    def test_rejects_malformed_hamiltonian(self, h, error):
-        with pytest.raises(error):
+    def test_rejects_arrays(self, h):
+        with pytest.raises(TypeError, match="^evolve takes a FiniteSystem, got ndarray$"):
             evolve(h, np.ones(2, dtype=complex), 1.0, 0.01)
 
     def test_probe_visits_every_step(self):
         times = []
-        evolve(np.zeros((1, 1)), np.ones(1, dtype=complex), 1.0, 0.25, probe=lambda t, psi: times.append(t))
+        evolve(as_operator(np.zeros((1, 1))), np.ones(1, dtype=complex), 1.0, 0.25,
+               probe=lambda t, psi: times.append(t))
         assert times == [0.0, 0.25, 0.5, 0.75, 1.0]
         # A t_final that is not a multiple of dt ends with one partial step.
         times.clear()
-        evolve(np.zeros((1, 1)), np.ones(1, dtype=complex), 1.125, 0.25, probe=lambda t, psi: times.append(t))
+        evolve(as_operator(np.zeros((1, 1))), np.ones(1, dtype=complex), 1.125, 0.25,
+               probe=lambda t, psi: times.append(t))
         assert times == [0.0, 0.25, 0.5, 0.75, 1.0, 1.125]
 
     @staticmethod
@@ -258,7 +265,7 @@ class TestEvolve:
         dt = 0.5 / linalg.norm_inf(h)
         t_final = 12.5 * dt  # 12 full intervals and a half one
         expected = expm(-1j * t_final * h) @ psi0
-        got = evolve(h, psi0, t_final, dt)
+        got = evolve(as_operator(h), psi0, t_final, dt)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("hermitian", [True, False])
@@ -269,7 +276,7 @@ class TestEvolve:
         h, psi0 = self.random_case(hermitian)
         t = t_norm1 / np.abs(h).sum(axis=0).max()
         expected = expm(-1j * t * h) @ psi0
-        got = evolve(h, psi0, t, t)
+        got = evolve(as_operator(h), psi0, t, t)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_criterion_7_work(self, monkeypatch):
@@ -310,7 +317,7 @@ class TestEvolve:
         # overflow warning (an error in this suite) must not escape.
         probed = []
         with pytest.raises(NonFiniteState, match=rf"at t = {probes[-1] + dt!r};"):
-            evolve(np.array([[100j]]), np.ones(1, dtype=complex), 30.0, dt,
+            evolve(as_operator([[100j]]), np.ones(1, dtype=complex), 30.0, dt,
                    probe=lambda t, psi: probed.append(t))
         assert probed == probes
 
@@ -320,7 +327,7 @@ class TestEvolve:
         h, psi0 = self.random_case(False)
         dt = 5.0 / linalg.norm_inf(h)
         expected = expm(-1j * 2.0 * dt * h) @ psi0
-        got = evolve(h, psi0, 2.0 * dt, dt)
+        got = evolve(as_operator(h), psi0, 2.0 * dt, dt)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -336,8 +343,8 @@ class CountedProducts:
 
 
 def taylor_loop_cases():
-    """Hermitian and non-Hermitian systems, each as a ``FiniteSystem`` and as
-    a dense array, at t ||H||_1 = 0.3, 4, 29.8 and 100, from a random state
+    """Hermitian and non-Hermitian systems, each as built and as its dense
+    form wrapped by ``as_operator``, at t ||H||_1 = 0.3, 4, 29.8 and 100, from a random state
     and from a packet at k0 = pi/2, where H psi nearly cancels at the peak of
     |psi|, so the lower bound read there is loose; plus a zero H and states
     that overflow inside the interval."""
@@ -360,37 +367,31 @@ def taylor_loop_cases():
     for (kind, op), (state, psi) in itertools.product(systems.items(), states.items()):
         for t_norm1 in (0.3, 4.0, 29.8, 100.0):
             t = t_norm1 / op.norm1()
-            for form, h in (("operator", op), ("dense", np.asarray(op))):
+            for form, h in (("operator", op), ("as_operator", as_operator(np.asarray(op)))):
                 cases.append(pytest.param(h, psi, t, False,
                                           id=f"{kind} {form}, {state}, t|H|_1={t_norm1}"))
     zero = FiniteSystem(np.zeros(4, dtype=complex), np.zeros((2, 2), dtype=complex), 1)
     cases.append(pytest.param(zero, states["random"][:5], 1.0, False, id="zero operator"))
-    cases.append(pytest.param(np.zeros((5, 5)), states["random"][:5], 1.0, False, id="zero dense"))
+    cases.append(pytest.param(as_operator(np.zeros((5, 5))), states["random"][:5], 1.0, False,
+                              id="zero as_operator"))
     gain = build_finite_system(build_center(hermitian), lead, n)
     gain.block[2, 2] = 40j
     cases.append(pytest.param(gain, states["random"], 20.0, True, id="overflowing operator"))
-    cases.append(pytest.param(np.array([[100j]]), np.ones(1, dtype=complex), 10.0, True,
-                              id="overflowing dense"))
+    cases.append(pytest.param(as_operator([[100j]]), np.ones(1, dtype=complex), 10.0, True,
+                              id="overflowing as_operator"))
     return cases
 
 
 class TestTaylorLoop:
     @pytest.mark.parametrize("h,psi,t,overflows", taylor_loop_cases())
     def test_matches_plain_loop_bit_for_bit(self, h, psi, t, overflows):
-        if isinstance(h, FiniteSystem):
-            norm1, norm_inf, product = h.norm1(), h._max_abs_sum(axis=1), h._product
-        else:
-            norm1, norm_inf = np.abs(h).sum(axis=0).max(), linalg.norm_inf(h)
-
-            def product(x, out):
-                np.matmul(h, x, out=out)
-
+        norm1, norm_inf = h.norm1(), h._max_abs_sum(axis=1)
         calls = 0
 
         def counted(x, out):
             nonlocal calls
             calls += 1
-            product(x, out)
+            h._product(x, out)
 
         reference = CountedProducts(h)
         with np.errstate(over="ignore", invalid="ignore"):
