@@ -9,7 +9,6 @@ verifies everything with seeded random ensembles plus a wavepacket oracle.
 """
 
 from .errors import (
-    DegenerateDenominator,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidConfig,

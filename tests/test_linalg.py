@@ -81,9 +81,9 @@ def unblocked_lu_factor(a):
 
 
 class TestRecursiveLuMatchesUnblocked:
-    # Sizes straddle the leaf width and the odd splits below it; 258 is the
-    # size of a 256-site center with two extra rows.
-    @pytest.mark.parametrize("n", [9, 17, 33, 64, 100, 258])
+    # 9 and 17 fit one leaf; 19 and 37 are the smallest sizes that split once
+    # and twice; 258 is the size of a 256-site center with two extra rows.
+    @pytest.mark.parametrize("n", [9, 17, 19, 33, 37, 64, 100, 258])
     def test_same_pivots_and_factors(self, n):
         rng = np.random.default_rng(n)
         a = random_delta_like(rng, n // 2, n - n // 2, energy=0.3)

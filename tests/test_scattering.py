@@ -319,6 +319,8 @@ class TestSpectrum:
             spectrum(center, lead, 0.0, 1.0, 10)
         with pytest.raises(InvalidRange):
             spectrum(center, lead, 0.5, 1.0, 1)
+        with pytest.raises(InvalidRange, match=r"^steps must be at most 1000000, got 1000001$"):
+            spectrum(center, lead, 0.5, 1.0, 1_000_001)
 
 
 def point_loop(center, lead, k_min, k_max, steps):
