@@ -53,7 +53,7 @@ class ScatteringCenter:
 
     ``h_a`` is n_a x n_a Hermitian, ``h_b`` is n_b x n_b Hermitian (n_b may be
     0 for a purely Hermitian center), ``h_ab`` is an arbitrary complex
-    n_a x n_b coupling.
+    n_a x n_b coupling; all three are read-only views into the center's own H_C.
     """
 
     h_a: np.ndarray
@@ -64,18 +64,21 @@ class ScatteringCenter:
         h_a = linalg.as_square_matrix(self.h_a)
         h_b = linalg.as_square_matrix(self.h_b)
         h_ab = linalg.as_complex_matrix(self.h_ab)
-        if h_a.shape[0] < 1:
+        n_a = h_a.shape[0]
+        if n_a < 1:
             raise DimensionMismatch("cluster A needs at least one site")
-        if h_ab.shape != (h_a.shape[0], h_b.shape[0]):
+        if h_ab.shape != (n_a, h_b.shape[0]):
             raise DimensionMismatch(
-                f"H_AB shape {h_ab.shape} does not match "
-                f"({h_a.shape[0]}, {h_b.shape[0]})"
+                f"H_AB shape {h_ab.shape} does not match ({n_a}, {h_b.shape[0]})"
             )
         _check_hermitian(h_a, "H_A")
         _check_hermitian(h_b, "H_B")
-        object.__setattr__(self, "h_a", h_a)
-        object.__setattr__(self, "h_b", h_b)
-        object.__setattr__(self, "h_ab", h_ab)
+        hc = np.block([[h_a, h_ab], [-h_ab.conj().T, h_b]])
+        hc.flags.writeable = False
+        object.__setattr__(self, "_hc", hc)
+        object.__setattr__(self, "h_a", hc[:n_a, :n_a])
+        object.__setattr__(self, "h_b", hc[n_a:, n_a:])
+        object.__setattr__(self, "h_ab", hc[:n_a, n_a:])
 
     @property
     def n_a(self) -> int:
@@ -88,11 +91,10 @@ class ScatteringCenter:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScatteringCenter):
             return NotImplemented
-        return (
-            np.array_equal(self.h_a, other.h_a)
-            and np.array_equal(self.h_b, other.h_b)
-            and np.array_equal(self.h_ab, other.h_ab)
-        )
+        return self.n_a == other.n_a and np.array_equal(self._hc, other._hc)
+
+    def __reduce__(self):  # pickle and copy rebuild the one read-only H_C
+        return ScatteringCenter, (self.h_a, self.h_b, self.h_ab)
 
 
 @dataclass(frozen=True)
@@ -163,14 +165,9 @@ def build_center(h_a, h_b=None, h_ab=None) -> ScatteringCenter:
 
 
 def assemble_full_center_matrix(center: ScatteringCenter) -> np.ndarray:
-    """The (n_a + n_b) square matrix with structural lower-left -H_AB^dag."""
-    n_a, n_b = center.n_a, center.n_b
-    m = np.zeros((n_a + n_b, n_a + n_b), dtype=np.complex128)
-    m[:n_a, :n_a] = center.h_a
-    m[:n_a, n_a:] = center.h_ab
-    m[n_a:, :n_a] = -center.h_ab.conj().T
-    m[n_a:, n_a:] = center.h_b
-    return m
+    """The center's read-only (n_a + n_b) square H_C, with structural
+    lower-left -H_AB^dag; copy it to edit."""
+    return center._hc
 
 
 def _center_matrix(center, lead: LeadAttachment | None = None):

@@ -38,7 +38,7 @@ identity under the fold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,11 +103,13 @@ class PTGraphSpec:
             raise DimensionMismatch(f"V: expected length {n2}, got {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("V entries must be finite")
-        object.__setattr__(self, "h_gamma", h_gamma)
-        object.__setattr__(self, "h_alpha", h_alpha)
-        object.__setattr__(self, "h_gamma_alpha", h_gamma_alpha)
-        object.__setattr__(self, "h_alpha_beta", h_alpha_beta)
-        object.__setattr__(self, "v", v)
+        for f, m in zip(fields(self), (h_gamma, h_alpha, h_gamma_alpha, h_alpha_beta, v)):
+            m = m.copy()
+            m.flags.writeable = False
+            object.__setattr__(self, f.name, m)
+
+    def __reduce__(self):  # pickle and copy keep the arrays read-only
+        return PTGraphSpec, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n1(self) -> int:

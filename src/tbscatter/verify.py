@@ -324,7 +324,7 @@ def _negative_control_checks(rng: np.random.Generator) -> list[CheckResult]:
         if center.n_b == 0:
             continue
         n = center.n_a + center.n_b
-        mutant = assemble_full_center_matrix(center)
+        mutant = assemble_full_center_matrix(center).copy()
         # Hermitian coupling instead of anti-Hermitian, plus unbalanced
         # imaginary on-site terms: the class the theorem does not cover.
         mutant[center.n_a :, : center.n_a] = center.h_ab.conj().T

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from tbscatter import (
 from tbscatter import FourSiteParams
 from tbscatter import linalg
 from tbscatter.verify import random_valid_center
+
+from conftest import random_delta_like
 
 
 class TestBuildCenter:
@@ -109,6 +113,57 @@ class TestAssemble:
         c, _ = random_valid_center(rng)
         d = linalg.det(assemble_delta(c, -2.0 * math.cos(1.0)))
         assert abs(d.imag) <= 1e-10 * abs(d)
+
+
+class TestCenterOwnsHc:
+    """A center holds one read-only H_C of its own; its blocks are views into it."""
+
+    @pytest.mark.parametrize("block", ["h_a", "h_b", "h_ab"])
+    def test_editing_the_callers_array_leaves_the_center_unchanged(self, block):
+        blocks = {
+            "h_a": np.array([[0.5, 1.0], [1.0, -0.5]], dtype=np.complex128),
+            "h_b": np.array([[0.3]], dtype=np.complex128),
+            "h_ab": np.array([[0.2j], [0.4]], dtype=np.complex128),
+        }
+        c = build_center(**blocks)
+        before = assemble_full_center_matrix(c).copy()
+        blocks[block][0, 0] = 0.7j
+        np.testing.assert_array_equal(assemble_full_center_matrix(c), before)
+        assert c == build_center(before[:2, :2], before[2:, 2:], before[:2, 2:])
+        for mine in (c.h_a, c.h_b, c.h_ab, assemble_full_center_matrix(c)):
+            assert not any(np.shares_memory(mine, theirs) for theirs in blocks.values())
+
+    def test_blocks_and_hc_are_read_only_views_of_one_array(self):
+        c, _ = folded_four_site(FourSiteParams(0.7, 0.7))
+        hc = assemble_full_center_matrix(c)
+        for m in (c.h_a, c.h_b, c.h_ab, hc):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0.0
+            assert np.shares_memory(m, hc)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))])
+    def test_clones_rebuild_one_read_only_hc(self, clone):
+        c, _ = folded_four_site(FourSiteParams(0.7, 0.7))
+        d = clone(c)
+        assert d == c
+        assert not np.shares_memory(assemble_full_center_matrix(d), assemble_full_center_matrix(c))
+        assert np.shares_memory(d.h_ab, assemble_full_center_matrix(d))
+        assert not d.h_a.flags.writeable
+
+    def test_same_hc_with_another_split_compares_unequal(self):
+        hc = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(np.complex128)
+        split_2 = build_center(hc[:2, :2], hc[2:, 2:], np.zeros((2, 3)))
+        split_3 = build_center(hc[:3, :3], hc[3:, 3:], np.zeros((3, 2)))
+        np.testing.assert_array_equal(assemble_full_center_matrix(split_2),
+                                      assemble_full_center_matrix(split_3))
+        assert split_2 != split_3
+        assert split_2 == build_center(hc[:2, :2], hc[2:, 2:], np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 0), (3, 2), (4, 4)])
+    def test_hc_is_the_block_layout_of_delta_at_zero_energy(self, n_a, n_b):
+        m = random_delta_like(np.random.default_rng(22), n_a, n_b, 0.0)
+        c = build_center(m[:n_a, :n_a], m[n_a:, n_a:], m[:n_a, n_a:])
+        np.testing.assert_array_equal(assemble_full_center_matrix(c), m)
 
 
 class TestEffectiveHamiltonian:

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +69,40 @@ class TestAssemble:
             spec = random_pt_spec(rng)
             defect = check_pt_symmetry(assemble_hpt(spec), parity_matrix(spec))
             assert defect <= 1e-12
+
+
+class TestSpecOwnsItsArrays:
+    def test_editing_the_callers_arrays_leaves_the_spec_unchanged(self):
+        h_gamma = np.zeros((2, 2), dtype=np.complex128)
+        v = np.array([0.9j])
+        spec = PTGraphSpec(h_gamma, np.zeros((1, 1)), np.array([[-1.0], [-1.0]]),
+                           np.zeros((1, 1)), v)
+        before = assemble_hpt(spec)
+        h_gamma[0, 0] = 5.0
+        v[0] = 3.0j
+        np.testing.assert_array_equal(assemble_hpt(spec), before)
+        assert spec.h_gamma[0, 0] == 0.0 and spec.v[0] == 0.9j
+
+    def test_arrays_are_read_only_copies(self):
+        args = dict(
+            h_gamma=np.zeros((2, 2), dtype=np.complex128),
+            h_alpha=np.zeros((1, 1), dtype=np.complex128),
+            h_gamma_alpha=np.array([[-1.0], [-1.0]], dtype=np.complex128),
+            h_alpha_beta=np.zeros((1, 1), dtype=np.complex128),
+            v=np.array([0.9j]),
+        )
+        spec = PTGraphSpec(**args)
+        for name, theirs in args.items():
+            mine = getattr(spec, name)
+            assert not np.shares_memory(mine, theirs)
+            with pytest.raises(ValueError, match="read-only"):
+                mine[...] = 1.0
+
+    def test_pickled_spec_stays_read_only(self):
+        spec = ring_as_pt_spec(0.9)
+        clone = pickle.loads(pickle.dumps(spec))
+        np.testing.assert_array_equal(assemble_hpt(clone), assemble_hpt(spec))
+        assert not (clone.h_gamma.flags.writeable or clone.v.flags.writeable)
 
 
 class TestParity:
