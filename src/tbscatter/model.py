@@ -41,6 +41,18 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str, error: type[Exception]) -> int:
+    """``value`` as an int; a value that is not an integer raises ``error``,
+    where ``int`` would truncate it."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != value:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return i
+
+
 def _check_hermitian(m: np.ndarray, name: str) -> None:
     defect = linalg.hermiticity_defect(m)
     if defect > HERMITICITY_ATOL:
@@ -125,8 +137,8 @@ class LeadAttachment:
             raise ValueError("joint couplings must be finite")
         if g_left == 0 or g_right == 0:
             raise ValueError("joint couplings must be nonzero")
-        jl = int(self.joint_left)
-        jr = int(self.joint_right)
+        jl = _integer(self.joint_left, "joint_left", IndexOutOfRange)
+        jr = _integer(self.joint_right, "joint_right", IndexOutOfRange)
         if jl < 1 or jr < 1:
             raise IndexOutOfRange("joint indices are 1-based")
         if jl == jr:

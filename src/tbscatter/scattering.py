@@ -48,7 +48,7 @@ from .errors import (
     SingularMatrix,
     SingularSystem,
 )
-from .model import LeadAttachment, _center_matrix, _shifted_center
+from .model import LeadAttachment, _center_matrix, _integer, _shifted_center
 
 SIN_K_MIN = 1e-8
 ETA_MIN = 1e-12
@@ -257,7 +257,7 @@ def solve_rt_direct(center, lead: LeadAttachment, k: float) -> ScatteringSolutio
 
 def reconstruct_wavefunction(solution: ScatteringSolution, site: int) -> complex:
     """Lead wavefunction f_j; j <= -1 is the left lead, j >= +1 the right."""
-    j = int(site)
+    j = _integer(site, "site", InvalidSite)
     if j == 0:
         raise InvalidSite("lead sites are j <= -1 and j >= +1")
     k = solution.k
@@ -480,7 +480,7 @@ def spectrum(center, lead: LeadAttachment, k_min: float, k_max: float, steps: in
     """
     k_min = float(k_min)
     k_max = float(k_max)
-    steps = int(steps)
+    steps = _integer(steps, "steps", InvalidRange)
     if not (0.0 < k_min < k_max < math.pi) or steps < 2:
         raise InvalidRange(
             f"need 0 < k_min < k_max < pi and steps >= 2, got ({k_min}, {k_max}, {steps})"

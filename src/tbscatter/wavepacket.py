@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteState
-from .model import LeadAttachment, _center_matrix
+from .model import LeadAttachment, _center_matrix, _integer
 
 # run_experiment probes the packet at t_final / _PROBE_INTERVALS spacing.
 _PROBE_INTERVALS = 200
@@ -72,12 +72,15 @@ __all__ = [
 
 
 def _check_packet_geometry(n: int, x0: float, sigma: float) -> None:
-    """A packet needs sigma >= 5 sites and 4 sigma to the wall and the center."""
-    if sigma < 5.0:
+    """A packet needs sigma >= 5 sites and 4 sigma to the wall and the center.
+
+    Each test is written so that a NaN fails it.
+    """
+    if not sigma >= 5.0:
         raise InvalidConfig("sigma must be at least 5 sites")
-    if abs(x0) + 4.0 * sigma >= n:
+    if not abs(x0) + 4.0 * sigma < n:
         raise InvalidConfig("packet must start at least 4 sigma from the wall")
-    if abs(x0) < 4.0 * sigma:
+    if not abs(x0) >= 4.0 * sigma:
         raise InvalidConfig("packet must start at least 4 sigma from the center")
 
 
@@ -92,7 +95,7 @@ class WavepacketConfig:
     t_final: float | None = None
 
     def __post_init__(self):
-        n = int(self.chain_half_length)
+        n = _integer(self.chain_half_length, "chain_half_length", InvalidConfig)
         x0 = float(self.x0)
         sigma = float(self.sigma)
         k0 = float(self.k0)
@@ -175,7 +178,7 @@ def build_finite_system(center, lead: LeadAttachment, n: int) -> FiniteSystem:
     """H of two n-site leads around the embedded center."""
     hc, _ = _center_matrix(center, lead)
     nc = hc.shape[0]
-    n = int(n)
+    n = _integer(n, "n", DimensionMismatch)
     if n < 1:
         raise DimensionMismatch("each lead needs at least one site")
     bonds = np.full(2 * n + nc - 1, -lead.kappa, dtype=np.complex128)
@@ -197,11 +200,14 @@ def gaussian_packet(n: int, n_center: int, x0: float, sigma: float, k0: float) -
     ``n`` is the per-lead length, ``n_center`` the number of center slots;
     the packet sits on the left lead for x0 < 0, on the right for x0 > 0.
     """
-    n = int(n)
-    n_center = int(n_center)
+    n = _integer(n, "n", InvalidConfig)
+    n_center = _integer(n_center, "n_center", InvalidConfig)
     x0 = float(x0)
     sigma = float(sigma)
+    k0 = float(k0)
     _check_packet_geometry(n, x0, sigma)
+    if not math.isfinite(k0):
+        raise InvalidConfig(f"k0 must be finite, got {k0!r}")
     psi = np.zeros(2 * n + n_center, dtype=np.complex128)
     if x0 < 0:
         coords = np.arange(-n, 0, dtype=np.float64)
@@ -307,7 +313,7 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
         raise DimensionMismatch(f"state length {psi.shape} does not match {h.shape}")
     t_final = float(t_final)
     dt = float(dt)
-    if t_final < 0 or dt <= 0:
+    if not (t_final >= 0 and dt > 0):
         raise ValueError("t_final must be >= 0 and dt > 0")
     if not t_final * norm1 <= _THETA * _MAX_SUBSTEPS:  # also when inf or nan
         raise InvalidConfig(f"t_final * ||H||_1 = {t_final * norm1:.3g} needs more than "
@@ -335,7 +341,8 @@ def evolve(h, psi0, t_final: float, dt: float, probe=None) -> np.ndarray:
 def measure_partition(psi, boundaries: tuple[int, int]) -> tuple[float, float, float]:
     """Squared-norm mass in (left lead, center, right lead)."""
     psi = np.asarray(psi)
-    i0, i1 = int(boundaries[0]), int(boundaries[1])
+    i0 = _integer(boundaries[0], "boundaries[0]", DimensionMismatch)
+    i1 = _integer(boundaries[1], "boundaries[1]", DimensionMismatch)
     if not (0 <= i0 <= i1 <= psi.shape[0]):
         raise DimensionMismatch(f"boundaries {boundaries} outside state of length {psi.shape[0]}")
     left, center, right = (float(np.vdot(x, x).real) for x in (psi[:i0], psi[i0:i1], psi[i1:]))

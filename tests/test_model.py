@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,16 +10,26 @@ import pytest
 from tbscatter import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidConfig,
+    InvalidRange,
+    InvalidSite,
     LeadAttachment,
     NotHermitian,
     ParseError,
+    WavepacketConfig,
     assemble_delta,
     assemble_full_center_matrix,
     build_center,
+    build_finite_system,
     effective_hamiltonian,
     folded_four_site,
+    gaussian_packet,
+    measure_partition,
     parse_network_spec,
+    reconstruct_wavefunction,
     serialize_network_spec,
+    solve_rt_direct,
+    spectrum,
 )
 from tbscatter import FourSiteParams
 from tbscatter import linalg
@@ -229,6 +240,48 @@ class TestLeadAttachment:
     def test_joints_are_one_based(self):
         with pytest.raises(IndexOutOfRange):
             LeadAttachment(kappa=1.0, g_left=1.0, g_right=1.0, joint_left=0, joint_right=2)
+
+
+_RING, _RING_LEAD = folded_four_site(FourSiteParams(0.7, 0.7))
+
+# Entry points with an integer argument: the call, the argument's name, a
+# valid value, and the error that a bad value of that argument raises.
+_INTEGER_ARGUMENTS = [
+    pytest.param(lambda j: LeadAttachment(1.0, 1.0, 1.0, j, 3), "joint_left", 2, IndexOutOfRange,
+                 id="LeadAttachment"),
+    pytest.param(lambda j: LeadAttachment(1.0, 1.0, 1.0, 3, j), "joint_right", 2, IndexOutOfRange,
+                 id="LeadAttachment-right"),
+    pytest.param(lambda j: reconstruct_wavefunction(solve_rt_direct(_RING, _RING_LEAD, 1.0), j),
+                 "site", -2, InvalidSite, id="reconstruct_wavefunction"),
+    pytest.param(lambda s: spectrum(_RING, _RING_LEAD, 0.5, 1.0, s), "steps", 3, InvalidRange,
+                 id="spectrum"),
+    pytest.param(lambda n: WavepacketConfig(n, -150.0, 15.0, 1.0), "chain_half_length", 300,
+                 InvalidConfig, id="WavepacketConfig"),
+    pytest.param(lambda n: build_finite_system(_RING, _RING_LEAD, n), "n", 5, DimensionMismatch,
+                 id="build_finite_system"),
+    pytest.param(lambda n: gaussian_packet(n, 4, -150.0, 15.0, 1.0), "n", 300, InvalidConfig,
+                 id="gaussian_packet"),
+    pytest.param(lambda n: gaussian_packet(300, n, -150.0, 15.0, 1.0), "n_center", 4,
+                 InvalidConfig, id="gaussian_packet-n_center"),
+    pytest.param(lambda i: measure_partition(np.ones(10), (i, 5)), "boundaries[0]", 3,
+                 DimensionMismatch, id="measure_partition"),
+    pytest.param(lambda i: measure_partition(np.ones(10), (3, i)), "boundaries[1]", 5,
+                 DimensionMismatch, id="measure_partition-right"),
+]
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("call, name, good, error", _INTEGER_ARGUMENTS)
+    @pytest.mark.parametrize("kind", [int, np.int64, float])
+    def test_integral_values_are_accepted(self, call, name, good, error, kind):
+        call(kind(good))
+
+    @pytest.mark.parametrize("call, name, good, error", _INTEGER_ARGUMENTS)
+    @pytest.mark.parametrize("offset", [0.7, math.nan, math.inf])
+    def test_other_values_raise_the_argument_error(self, call, name, good, error, offset):
+        bad = good + offset
+        with pytest.raises(error, match=rf"^{re.escape(name)} must be an integer, got {bad!r}$"):
+            call(bad)
 
 
 class TestNetworkSpecRoundTrip:

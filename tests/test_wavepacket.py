@@ -209,6 +209,19 @@ class TestGaussianPacket:
         with pytest.raises(InvalidConfig):
             gaussian_packet(300, 4, x0, sigma, 1.0)
 
+    @pytest.mark.parametrize(
+        "x0,sigma,k0,message",
+        [
+            (math.nan, 15.0, 1.0, "4 sigma from the wall"),
+            (-150.0, math.nan, 1.0, "sigma must be at least 5 sites"),
+            (-150.0, 15.0, math.nan, "k0 must be finite, got nan"),
+            (-150.0, 15.0, math.inf, "k0 must be finite, got inf"),
+        ],
+    )
+    def test_rejects_nan_geometry_and_non_finite_k0(self, x0, sigma, k0, message):
+        with pytest.raises(InvalidConfig, match=message):
+            gaussian_packet(300, 3, x0, sigma, k0)
+
 
 class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
@@ -240,6 +253,18 @@ class TestEvolve:
     def test_rejects_arrays(self, h):
         with pytest.raises(TypeError, match="^evolve takes a FiniteSystem, got ndarray$"):
             evolve(h, np.ones(2, dtype=complex), 1.0, 0.01)
+
+    @pytest.mark.parametrize("t_final,dt", [(1.0, math.nan), (math.nan, 0.25), (-1.0, 0.25),
+                                            (1.0, 0.0)])
+    def test_rejects_bad_times(self, t_final, dt):
+        with pytest.raises(ValueError, match="^t_final must be >= 0 and dt > 0$"):
+            evolve(as_operator(np.zeros((1, 1))), np.ones(1, dtype=complex), t_final, dt)
+
+    def test_infinite_dt_is_one_interval(self):
+        times = []
+        evolve(as_operator(np.zeros((1, 1))), np.ones(1, dtype=complex), 1.5, math.inf,
+               probe=lambda t, psi: times.append(t))
+        assert times == [0.0, 1.5]
 
     def test_probe_visits_every_step(self):
         times = []
