@@ -6,8 +6,13 @@ coupling. The full center matrix is always assembled as
     [[ H_A,        H_AB ],
      [ -H_AB^dag,  H_B  ]]
 
-so the lower-left block is structural, never user data. Leads (hopping
--kappa, joint couplings -g_L, -g_R) attach to two distinct sites of cluster A.
+so the lower-left block is structural, never user data. A
+``ScatteringCenter`` is immutable: it assembles H_C once, when it is built,
+into a read-only array of its own, and its three blocks are read-only views
+into that array, so it never shares memory with the caller's inputs.
+``assemble_full_center_matrix`` returns that array; copy it to edit. Leads
+(hopping -kappa, joint couplings -g_L, -g_R) attach to two distinct sites of
+cluster A.
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ class ScatteringCenter:
             )
         _check_hermitian(h_a, "H_A")
         _check_hermitian(h_b, "H_B")
-        hc = np.block([[h_a, h_ab], [-h_ab.conj().T, h_b]])
+        hc = np.concatenate([np.concatenate([h_a, h_ab], axis=1),
+                             np.concatenate([-h_ab.conj().T, h_b], axis=1)])
         hc.flags.writeable = False
         object.__setattr__(self, "_hc", hc)
         object.__setattr__(self, "h_a", hc[:n_a, :n_a])

@@ -70,7 +70,8 @@ class PTGraphSpec:
     Re(v) on its diagonal if needed; ``h_gamma_alpha`` (n1 x n2) the axis-pair
     hoppings; ``h_alpha_beta`` (n2 x n2) the cross-pair hoppings. Only Im(v)
     enters the assembled matrix, as the balanced gain/loss diagonal. Blocks
-    are stored as complex128; whether they are real is ``is_real``.
+    and ``v`` are stored as read-only complex128 copies; whether the blocks
+    are real is ``is_real``.
     """
 
     h_gamma: np.ndarray
